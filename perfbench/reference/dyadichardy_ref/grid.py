@@ -1,0 +1,477 @@
+"""Product dyadic geometry on the unit cube.
+
+The domain is a d-fold product of factors [0,1)^{n_i}, factor i refined
+to dyadic depth J_i (2^{J_i} cells per axis).  Functions are piecewise
+constant on finest cells, so every integral here is a finite sum and,
+for dyadic-rational data, exact.
+
+Canonical cell order is the C-order raveling of the value array whose
+axes are factor 0's coordinates, then factor 1's, etc. (mixed-radix over
+factors, coordinate-major within a factor).
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import GridError, ResourceCapError
+
+DEFAULT_RECTANGLE_CAP = 250_000
+
+
+@dataclass(frozen=True)
+class ProductGrid:
+    """The discretized d-parameter domain [0,1)^{n_1} x ... x [0,1)^{n_d}."""
+
+    factor_dims: tuple
+    depths: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "factor_dims", tuple(int(v) for v in self.factor_dims))
+        object.__setattr__(self, "depths", tuple(int(v) for v in self.depths))
+        if len(self.factor_dims) != len(self.depths):
+            raise GridError("factor_dims and depths must have equal length")
+        if len(self.factor_dims) < 1:
+            raise GridError("need at least one factor")
+        if any(n < 1 for n in self.factor_dims):
+            raise GridError("every factor dimension must be >= 1")
+        if any(j < 1 for j in self.depths):
+            raise GridError("every depth must be >= 1")
+
+    @property
+    def d(self) -> int:
+        return len(self.factor_dims)
+
+    @property
+    def n(self) -> int:
+        return sum(self.factor_dims)
+
+    @property
+    def shape(self) -> tuple:
+        """Axis sizes of the value array: n_i axes of size 2^{J_i} per factor."""
+        out = []
+        for n_i, j_i in zip(self.factor_dims, self.depths):
+            out.extend([2 ** j_i] * n_i)
+        return tuple(out)
+
+    @property
+    def cell_count(self) -> int:
+        c = 1
+        for s in self.shape:
+            c *= s
+        return c
+
+    @property
+    def cell_volume(self) -> float:
+        return 2.0 ** (-sum(n * j for n, j in zip(self.factor_dims, self.depths)))
+
+    def factor_axes(self, i: int) -> range:
+        """Axis indices (into .shape) belonging to factor i."""
+        if not 0 <= i < self.d:
+            raise GridError(f"factor index {i} out of range for d={self.d}")
+        start = sum(self.factor_dims[:i])
+        return range(start, start + self.factor_dims[i])
+
+    def axis_side(self, i: int) -> int:
+        """Cells per axis in factor i."""
+        return 2 ** self.depths[i]
+
+    def factor_cell_volume(self, i: int) -> float:
+        return 2.0 ** (-self.factor_dims[i] * self.depths[i])
+
+    def reduce(self, i: int) -> "ProductGrid":
+        """The (d-1)-factor grid with factor i removed."""
+        if self.d < 2:
+            raise GridError("cannot reduce a one-parameter grid")
+        if not 0 <= i < self.d:
+            raise GridError(f"factor index {i} out of range for d={self.d}")
+        return ProductGrid(
+            self.factor_dims[:i] + self.factor_dims[i + 1:],
+            self.depths[:i] + self.depths[i + 1:],
+        )
+
+    def to_dict(self) -> dict:
+        return {"factor_dims": list(self.factor_dims), "depths": list(self.depths)}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ProductGrid":
+        try:
+            return cls(tuple(data["factor_dims"]), tuple(data["depths"]))
+        except (KeyError, TypeError) as exc:
+            raise GridError(f"malformed grid descriptor: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class DyadicCube:
+    """A dyadic cube inside one factor: side 2^{-level}, corner coords/2^level."""
+
+    factor: int
+    level: int
+    coords: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        if self.level < 0:
+            raise GridError("cube level must be >= 0")
+        side = 2 ** self.level
+        if any(not 0 <= c < side for c in self.coords):
+            raise GridError(f"cube coords {self.coords} out of range at level {self.level}")
+
+    @property
+    def measure(self) -> float:
+        return 2.0 ** (-len(self.coords) * self.level)
+
+    def contains_cell(self, pos: tuple, depth: int) -> bool:
+        """Does this cube contain the finest cell at coords `pos` (grid depth `depth`)?"""
+        shift = depth - self.level
+        return all(c == (p >> shift) for c, p in zip(self.coords, pos))
+
+
+@dataclass(frozen=True)
+class DyadicRectangle:
+    """Product of one dyadic cube per factor; the index R of a difference operator."""
+
+    cubes: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "cubes", tuple(self.cubes))
+        for i, q in enumerate(self.cubes):
+            if q.factor != i:
+                raise GridError("cube factor indices must be 0..d-1 in order")
+
+    @property
+    def levels(self) -> tuple:
+        return tuple(q.level for q in self.cubes)
+
+    @property
+    def measure(self) -> float:
+        m = 1.0
+        for q in self.cubes:
+            m *= q.measure
+        return m
+
+    def cell_slices(self, grid: ProductGrid) -> tuple:
+        """Per-axis slices selecting this rectangle's finest cells."""
+        sl = []
+        for i, q in enumerate(self.cubes):
+            width = 2 ** (grid.depths[i] - q.level)
+            for c in q.coords:
+                sl.append(slice(c * width, (c + 1) * width))
+        return tuple(sl)
+
+    def cell_indices(self, grid: ProductGrid) -> np.ndarray:
+        """Sorted flat indices of the finest cells covered by this rectangle."""
+        idx = np.zeros(grid.shape, dtype=bool)
+        idx[self.cell_slices(grid)] = True
+        return np.flatnonzero(idx.ravel())
+
+    def sort_key(self):
+        return tuple((q.level, q.coords) for q in self.cubes)
+
+    def key(self) -> str:
+        """Canonical string form "i:j:(coords)|..."."""
+        return "|".join(
+            f"{q.factor}:{q.level}:({','.join(map(str, q.coords))})" for q in self.cubes
+        )
+
+    @classmethod
+    def from_key(cls, key: str) -> "DyadicRectangle":
+        cubes = []
+        for part in key.split("|"):
+            fac, lev, coords = part.split(":")
+            coords = coords.strip("()")
+            ctuple = tuple(int(c) for c in coords.split(",")) if coords else ()
+            cubes.append(DyadicCube(int(fac), int(lev), ctuple))
+        return cls(tuple(cubes))
+
+
+@dataclass(frozen=True)
+class OpenSetMask:
+    """A union of finest cells: the discrete stand-in for an open set."""
+
+    grid: ProductGrid
+    cells: np.ndarray = field(compare=False)
+
+    def __post_init__(self):
+        cells = np.asarray(self.cells, dtype=bool)
+        if cells.shape != self.grid.shape:
+            raise GridError("mask shape does not match grid")
+        cells = cells.copy()
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+
+    @classmethod
+    def empty(cls, grid: ProductGrid) -> "OpenSetMask":
+        return cls(grid, np.zeros(grid.shape, dtype=bool))
+
+    @classmethod
+    def full(cls, grid: ProductGrid) -> "OpenSetMask":
+        return cls(grid, np.ones(grid.shape, dtype=bool))
+
+    @classmethod
+    def from_cell_indices(cls, grid: ProductGrid, indices) -> "OpenSetMask":
+        flat = np.zeros(grid.cell_count, dtype=bool)
+        flat[np.asarray(list(indices), dtype=int)] = True
+        return cls(grid, flat.reshape(grid.shape))
+
+    @property
+    def cell_count(self) -> int:
+        return int(self.cells.sum())
+
+    @property
+    def measure(self) -> float:
+        return self.cell_count * self.grid.cell_volume
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.cells.any()
+
+    def cell_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.cells.ravel())
+
+    def contains_rectangle(self, rect: DyadicRectangle) -> bool:
+        return bool(self.cells[rect.cell_slices(self.grid)].all())
+
+    def union(self, other: "OpenSetMask") -> "OpenSetMask":
+        if other.grid != self.grid:
+            raise GridError("mask grids differ")
+        return OpenSetMask(self.grid, self.cells | other.cells)
+
+    def to_dict(self) -> dict:
+        return {"grid": self.grid.to_dict(), "cells": [int(i) for i in self.cell_indices()]}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "OpenSetMask":
+        grid = ProductGrid.from_dict(data["grid"])
+        return cls.from_cell_indices(grid, data["cells"])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, OpenSetMask)
+            and self.grid == other.grid
+            and bool(np.array_equal(self.cells, other.cells))
+        )
+
+    def __hash__(self):
+        return hash((self.grid, self.cells.tobytes()))
+
+
+@dataclass(frozen=True, eq=False)
+class GridFunction:
+    """A real function, piecewise constant on finest cells."""
+
+    grid: ProductGrid
+    values: np.ndarray = field(compare=False)
+
+    def __post_init__(self):
+        vals = np.asarray(self.values)
+        if vals.dtype != object:
+            vals = vals.astype(np.float64)
+        if vals.shape == (self.grid.cell_count,):
+            vals = vals.reshape(self.grid.shape)
+        if vals.shape != self.grid.shape:
+            raise GridError("value array shape does not match grid")
+        object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def constant(cls, grid: ProductGrid, value: float = 0.0) -> "GridFunction":
+        return cls(grid, np.full(grid.shape, value))
+
+    def integral(self):
+        return self.values.sum() * self.grid.cell_volume
+
+    def l2_sq(self):
+        return (self.values * self.values).sum() * self.grid.cell_volume
+
+    def l1_norm(self):
+        return np.abs(self.values).sum() * self.grid.cell_volume
+
+    def linf(self):
+        return float(np.abs(self.values.astype(np.float64)).max()) if self.values.size else 0.0
+
+    def slice_at(self, i: int, pos: tuple) -> "GridFunction":
+        """Freeze factor i's variable at finest cell `pos`; function on the reduced grid."""
+        axes = self.grid.factor_axes(i)
+        pos = tuple(int(p) for p in pos)
+        if len(pos) != self.grid.factor_dims[i]:
+            raise GridError("slice position has wrong number of coordinates")
+        indexer = [slice(None)] * len(self.grid.shape)
+        for a, p in zip(axes, pos):
+            indexer[a] = p
+        return GridFunction(self.grid.reduce(i), self.values[tuple(indexer)])
+
+    def _binop(self, other, op):
+        if isinstance(other, GridFunction):
+            if other.grid != self.grid:
+                raise GridError("grids differ")
+            return GridFunction(self.grid, op(self.values, other.values))
+        return GridFunction(self.grid, op(self.values, other))
+
+    def __add__(self, other):
+        return self._binop(other, lambda a, b: a + b)
+
+    def __sub__(self, other):
+        return self._binop(other, lambda a, b: a - b)
+
+    def __mul__(self, other):
+        return self._binop(other, lambda a, b: a * b)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return GridFunction(self.grid, -self.values)
+
+    def abs(self) -> "GridFunction":
+        return GridFunction(self.grid, np.abs(self.values))
+
+    def to_dict(self) -> dict:
+        return {
+            "grid": self.grid.to_dict(),
+            "values": [float(v) for v in self.values.ravel()],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "GridFunction":
+        grid = ProductGrid.from_dict(data["grid"])
+        vals = np.asarray(data["values"], dtype=np.float64)
+        if vals.size != grid.cell_count:
+            raise GridError("value array length does not match grid")
+        return cls(grid, vals.reshape(grid.shape))
+
+
+class RectangleFamily:
+    """A finite duplicate-free set of Delta-eligible dyadic rectangles over one grid."""
+
+    def __init__(self, grid: ProductGrid, members):
+        self.grid = grid
+        seen = {}
+        for rect in members:
+            if len(rect.cubes) != grid.d:
+                raise GridError("rectangle factor count does not match grid")
+            for i, q in enumerate(rect.cubes):
+                if not 0 <= q.level <= grid.depths[i] - 1:
+                    raise GridError(
+                        f"cube level {q.level} not Delta-eligible (need <= {grid.depths[i] - 1})"
+                    )
+            seen[rect] = None
+        self.members = tuple(sorted(seen, key=DyadicRectangle.sort_key))
+
+    def __len__(self):
+        return len(self.members)
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __contains__(self, rect):
+        return rect in set(self.members)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RectangleFamily)
+            and self.grid == other.grid
+            and self.members == other.members
+        )
+
+    def __repr__(self):
+        return f"RectangleFamily(d={self.grid.d}, size={len(self.members)})"
+
+
+def eligible_rectangle_count(grid: ProductGrid) -> int:
+    """prod_i sum_{j=0}^{J_i-1} 2^{n_i j}."""
+    total = 1
+    for n_i, j_i in zip(grid.factor_dims, grid.depths):
+        total *= sum(2 ** (n_i * j) for j in range(j_i))
+    return total
+
+
+def _factor_cubes(grid: ProductGrid, i: int, levels) -> list:
+    """Cubes of factor i at the given levels, level-major then coordinate-lex."""
+    out = []
+    n_i = grid.factor_dims[i]
+    for j in levels:
+        for coords in itertools.product(range(2 ** j), repeat=n_i):
+            out.append(DyadicCube(i, j, coords))
+    return out
+
+
+def enumerate_rectangles(grid: ProductGrid, max_count: int = DEFAULT_RECTANGLE_CAP) -> RectangleFamily:
+    """All Delta-eligible rectangles (per-factor cube levels in 0..J_i-1)."""
+    count = eligible_rectangle_count(grid)
+    if count > max_count:
+        raise ResourceCapError(
+            f"{count} rectangles exceed the cap of {max_count}; raise max_count if intended"
+        )
+    per_factor = [
+        _factor_cubes(grid, i, range(grid.depths[i])) for i in range(grid.d)
+    ]
+    members = [DyadicRectangle(cubes) for cubes in itertools.product(*per_factor)]
+    return RectangleFamily(grid, members)
+
+
+def slice_family(family: RectangleFamily, i: int, pos: tuple) -> RectangleFamily:
+    """The factor-i slice of a family at a finest cell position of factor i.
+
+    Returns { Q_1 x ... x Q_i-hat x ... x Q_d : the full rectangle is in the
+    family and Q_i contains the position }, over the reduced grid.
+    """
+    grid = family.grid
+    if grid.d < 2:
+        raise GridError("slicing requires d >= 2")
+    if not 0 <= i < grid.d:
+        raise GridError(f"factor index {i} out of range")
+    pos = tuple(int(p) for p in pos)
+    if len(pos) != grid.factor_dims[i]:
+        raise GridError("slice position has wrong number of coordinates")
+    depth = grid.depths[i]
+    reduced = grid.reduce(i)
+    members = []
+    for rect in family:
+        if rect.cubes[i].contains_cell(pos, depth):
+            kept = [q for k, q in enumerate(rect.cubes) if k != i]
+            members.append(
+                DyadicRectangle(tuple(
+                    DyadicCube(k, q.level, q.coords) for k, q in enumerate(kept)
+                ))
+            )
+    return RectangleFamily(reduced, members)
+
+
+def slice_mask(mask: OpenSetMask, i: int, pos: tuple) -> OpenSetMask:
+    """The factor-i slice of a mask at a finest cell position of factor i."""
+    grid = mask.grid
+    if grid.d < 2:
+        raise GridError("slicing requires d >= 2")
+    pos = tuple(int(p) for p in pos)
+    if len(pos) != grid.factor_dims[i]:
+        raise GridError("slice position has wrong number of coordinates")
+    indexer = [slice(None)] * len(grid.shape)
+    for a, p in zip(grid.factor_axes(i), pos):
+        indexer[a] = p
+    return OpenSetMask(grid.reduce(i), mask.cells[tuple(indexer)])
+
+
+def rectangles_in(
+    family: RectangleFamily,
+    mask: OpenSetMask,
+    alpha: float | None = None,
+    strict: bool = False,
+) -> RectangleFamily:
+    """Members of `family` contained in the mask, optionally with |R| <= alpha.
+
+    `strict=True` switches the size cap to |R| < alpha (used by the
+    pigeonhole split, which quantifies strictly).
+    """
+    if alpha is not None and alpha <= 0:
+        raise GridError("size cap must be positive")
+    members = []
+    for rect in family:
+        if alpha is not None:
+            m = rect.measure
+            if (m >= alpha) if strict else (m > alpha):
+                continue
+        if mask.contains_rectangle(rect):
+            members.append(rect)
+    return RectangleFamily(family.grid, members)

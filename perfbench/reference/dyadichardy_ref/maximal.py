@@ -1,0 +1,190 @@
+"""Strong maximal function, its iterates, the A1 weight m, and the cutoff tau.
+
+The maximal operator takes averages of |f| over grid-aligned products of
+per-factor cubes (any integer cell side, any in-domain position); the
+same rectangle class as the little-bmo norm.  The fast path computes
+per-shape window sums from prefix tables and lifts them to per-cell
+maxima with an O(cells) sliding max; a literal all-rectangles loop is
+kept as the test oracle.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import ContractionError, GridError
+from .grid import GridFunction, OpenSetMask
+from .windows import axis_sides, cover_max, iter_shapes, shape_cell_count, window_sums
+
+
+def strong_maximal(f: GridFunction) -> GridFunction:
+    """Mf(x): max over aligned rectangles containing x of the average of |f|."""
+    grid = f.grid
+    a = np.abs(f.values.astype(np.float64))
+    out = np.full(grid.shape, -np.inf)
+    for shape in iter_shapes(grid):
+        sides = axis_sides(grid, shape)
+        count = shape_cell_count(grid, shape)
+        avg = window_sums(a, sides) / count
+        for axis, s in enumerate(sides):
+            avg = cover_max(avg, s, grid.shape[axis], axis)
+        np.maximum(out, avg, out=out)
+    return GridFunction(grid, out)
+
+
+def strong_maximal_naive(f: GridFunction) -> GridFunction:
+    """Oracle: explicit loop over every aligned rectangle and its cells."""
+    grid = f.grid
+    a = np.abs(f.values.astype(np.float64))
+    out = np.full(grid.shape, -np.inf)
+    for shape in iter_shapes(grid):
+        sides = axis_sides(grid, shape)
+        ranges = [range(L - s + 1) for L, s in zip(grid.shape, sides)]
+        for starts in itertools.product(*ranges):
+            sl = tuple(slice(p, p + s) for p, s in zip(starts, sides))
+            avg = a[sl].mean()
+            np.maximum(out[sl], avg, out=out[sl])
+    return GridFunction(grid, out)
+
+
+def iterate_maximal(f: GridFunction, k: int) -> GridFunction:
+    """k-fold iterate M^(k) f; k=0 is the identity."""
+    if k < 0:
+        raise GridError("iteration count must be >= 0")
+    g = f
+    for _ in range(k):
+        g = strong_maximal(g)
+    return g
+
+
+@dataclass(frozen=True)
+class TauParams:
+    """Parameters of the A1-weight series and the log cutoff."""
+
+    delta: float
+    c: float | None = None  # None: chosen adaptively from measured contraction
+    tol: float = 1e-8
+    kmax: int = 60
+    q: float = 0.9
+
+    def __post_init__(self):
+        if self.delta <= 0:
+            raise GridError("delta must be positive")
+        if self.c is not None and not 0 < self.c < 1:
+            raise GridError("series ratio c must lie in (0,1)")
+        if self.tol <= 0 or self.kmax < 1:
+            raise GridError("tol must be positive and kmax >= 1")
+        if not 0 < self.q < 1:
+            raise GridError("contraction target q must lie in (0,1)")
+
+
+@dataclass
+class TauReport:
+    """The cutoff tau, the weight it came from, and measured certificates."""
+
+    tau: GridFunction
+    m: GridFunction
+    bmo_norm_measured: float
+    support_measure: float
+    terms_used: int
+    contraction_ratios: list
+    delta: float
+    c_used: float
+    l2_ratio: float  # ||m||_2 / |E|^{1/2}
+    chebyshev_c2: float  # |supp tau| / (e^{2/delta} |E|)
+
+
+def a1_weight(E: OpenSetMask, params: TauParams):
+    """Truncated series K^{-1} sum_k c^k M^(k) chi_E, renormalized over used terms.
+
+    Returns (m, diagnostics).  m = 1 on E exactly (the numerator and K
+    accumulate bitwise-identical term sequences there); 0 < m <= 1 up to
+    rounding everywhere.
+    """
+    grid = E.grid
+    if E.is_empty:
+        raise GridError("A1 weight needs |E| > 0")
+    chi = E.cells.astype(np.float64)
+    iterates = [chi]
+    l2s = [float(np.sqrt((chi * chi).sum() * grid.cell_volume))]
+    linfs = [1.0]
+    ratios = []
+    adaptive = params.c is None
+    c = 0.5 if adaptive else params.c
+    violations = 0
+    k = 0
+    while True:
+        if c ** k * linfs[-1] < params.tol or k >= params.kmax:
+            break
+        g = strong_maximal(GridFunction(grid, iterates[-1])).values
+        iterates.append(g)
+        l2 = float(np.sqrt((g * g).sum() * grid.cell_volume))
+        ratio = l2 / l2s[-1]
+        ratios.append(ratio)
+        l2s.append(l2)
+        linfs.append(float(g.max()))
+        if adaptive:
+            while c * ratio > params.q:
+                c /= 2.0
+        elif c * ratio > params.q:
+            violations += 1
+            if violations >= 3:
+                raise ContractionError(
+                    f"series ratio c={c} fails the contraction target q={params.q} "
+                    f"(measured L2 ratio {ratio:.4g}); lower c"
+                )
+        k += 1
+    acc = np.zeros(grid.shape)
+    K = 0.0
+    ck = 1.0
+    for g in iterates:
+        acc += ck * g
+        K += ck
+        ck *= c
+    m = acc / K
+    diagnostics = {
+        "terms_used": len(iterates),
+        "c": c,
+        "contraction_ratios": ratios,
+        "l2_norms": l2s,
+        "linf_norms": linfs,
+        "m_l2": float(np.sqrt((m * m).sum() * grid.cell_volume)),
+        "E_measure": E.measure,
+    }
+    return GridFunction(grid, m), diagnostics
+
+
+def tau_build(E: OpenSetMask, params: TauParams) -> TauReport:
+    """The bmo cutoff tau = max(0, 1 + delta log m) built on E."""
+    from .norms import little_bmo_norm
+
+    grid = E.grid
+    m, diag = a1_weight(E, params)
+    tau_vals = np.maximum(0.0, 1.0 + params.delta * np.log(m.values))
+    tau = GridFunction(grid, tau_vals)
+    support_measure = float((tau_vals > 0).sum()) * grid.cell_volume
+    bmo = little_bmo_norm(tau, p=2, rect_class="aligned").value
+    return TauReport(
+        tau=tau,
+        m=m,
+        bmo_norm_measured=bmo,
+        support_measure=support_measure,
+        terms_used=diag["terms_used"],
+        contraction_ratios=diag["contraction_ratios"],
+        delta=params.delta,
+        c_used=diag["c"],
+        l2_ratio=diag["m_l2"] / math.sqrt(E.measure),
+        chebyshev_c2=support_measure / (math.exp(2.0 / params.delta) * E.measure),
+    )
+
+
+def check_a1(w: GridFunction) -> float:
+    """Empirical A1 constant max_x Mw(x)/w(x)."""
+    if (w.values <= 0).any():
+        raise GridError("A1 check requires a strictly positive weight")
+    mw = strong_maximal(w)
+    return float((mw.values / w.values).max())

@@ -1,0 +1,386 @@
+"""Square function, dyadic H^1, little bmo, and the product-BMO packing constant.
+
+The packing norm is a supremum of set functions over all unions of
+finest cells.  Two engines are provided: an exact bit-mask enumeration
+(feasible up to a configured cell cap, default 22) and a seeded greedy
+local search whose reported value is always the exactly recomputed ratio
+of its witness, hence a certified lower bound.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import os
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import GridError, ResourceCapError
+from .grid import (
+    DyadicCube,
+    DyadicRectangle,
+    GridFunction,
+    OpenSetMask,
+    ProductGrid,
+    RectangleFamily,
+    enumerate_rectangles,
+)
+from .martingale import _axis_levels, level_difference
+from .windows import (
+    AlignedBox,
+    axis_sides,
+    iter_shapes,
+    shape_cell_count,
+    window_sums,
+)
+
+EXACT_CAP_ENV = "DH_CAP_CELLS"
+DEFAULT_EXACT_CAP = 22
+
+
+def square_function(f: GridFunction) -> GridFunction:
+    """Sf(x) = (sum over eligible R of |Delta_R f(x)|^2)^{1/2}."""
+    grid = f.grid
+    acc = np.zeros(grid.shape)
+    for levels in itertools.product(*(range(j) for j in grid.depths)):
+        d = level_difference(f, levels)
+        acc += d * d
+    return GridFunction(grid, np.sqrt(acc))
+
+
+def h1_norm(f: GridFunction, include_mean: bool = False) -> float:
+    """||Sf||_{L^1}; optionally add |mean f| so constants are separated."""
+    value = float(square_function(f).integral())
+    if include_mean:
+        value += abs(float(f.integral()))
+    return value
+
+
+def rectangle_energies(f: GridFunction) -> dict:
+    """||Delta_R f||_2^2 for every eligible R, in canonical order."""
+    grid = f.grid
+    out = {}
+    for levels in itertools.product(*(range(j) for j in grid.depths)):
+        d = level_difference(f, levels)
+        sq = d * d
+        # Collapse to one energy per rectangle at this level combination.
+        for axis, (i, j) in enumerate(_axis_levels(grid, levels)):
+            width = 2 ** (grid.depths[i] - j)
+            shp = sq.shape
+            nb = shp[axis] // width
+            sq = sq.reshape(shp[:axis] + (nb, width) + shp[axis + 1:]).sum(axis=axis + 1)
+        sq = sq * grid.cell_volume
+        per_axis = [range(2 ** j) for i, j in _axis_levels(grid, levels)]
+        for coords in itertools.product(*per_axis):
+            cubes = []
+            cursor = 0
+            for i in range(grid.d):
+                n_i = grid.factor_dims[i]
+                cubes.append(DyadicCube(i, levels[i], coords[cursor:cursor + n_i]))
+                cursor += n_i
+            out[DyadicRectangle(tuple(cubes))] = float(sq[coords])
+    return out
+
+
+def packing_energy(
+    f: GridFunction,
+    mask: OpenSetMask,
+    alpha: float | None = None,
+    family: RectangleFamily | None = None,
+) -> float:
+    """Sum of ||Delta_R f||_2^2 over R inside the mask with |R| <= alpha."""
+    if mask.grid != f.grid:
+        raise GridError("mask grid does not match function grid")
+    if alpha is not None and alpha <= 0:
+        raise GridError("size cap must be positive")
+    energies = rectangle_energies(f)
+    rects = family.members if family is not None else energies.keys()
+    total = 0.0
+    for rect in rects:
+        if alpha is not None and rect.measure > alpha:
+            continue
+        if mask.contains_rectangle(rect):
+            total += energies[rect]
+    return total
+
+
+@dataclass
+class OscResult:
+    """A little-bmo value with its maximizing rectangle."""
+
+    value: float
+    witness: object
+    p: int
+    rect_class: str
+
+
+def _dyadic_boxes(grid: ProductGrid):
+    """All dyadic rectangles, including finest-level cubes (oscillation 0 there)."""
+    per_factor = []
+    for i in range(grid.d):
+        cubes = []
+        for j in range(grid.depths[i] + 1):
+            for coords in itertools.product(range(2 ** j), repeat=grid.factor_dims[i]):
+                cubes.append(DyadicCube(i, j, coords))
+        per_factor.append(cubes)
+    for cubes in itertools.product(*per_factor):
+        yield DyadicRectangle(tuple(cubes))
+
+
+def little_bmo_norm(f: GridFunction, p: int = 2, rect_class: str = "aligned") -> OscResult:
+    """sup over the rectangle class of the p-mean oscillation of f.
+
+    rect_class "dyadic": products of dyadic cubes; "aligned": products of
+    grid-aligned cubes of any integer cell side and in-domain position.
+    """
+    if p not in (1, 2):
+        raise GridError("p must be 1 or 2")
+    if rect_class not in ("dyadic", "aligned"):
+        raise GridError("rect_class must be 'dyadic' or 'aligned'")
+    grid = f.grid
+    vals = f.values.astype(np.float64)
+    best = -1.0
+    witness = None
+    if rect_class == "dyadic":
+        if p == 2:
+            for rect in _dyadic_boxes(grid):
+                sub = vals[rect.cell_slices(grid)]
+                osc2 = float(((sub - sub.mean()) ** 2).mean())
+                if osc2 > best:
+                    best, witness = osc2, rect
+            return OscResult(math.sqrt(max(best, 0.0)), witness, p, rect_class)
+        for rect in _dyadic_boxes(grid):
+            sub = vals[rect.cell_slices(grid)]
+            osc = float(np.abs(sub - sub.mean()).mean())
+            if osc > best:
+                best, witness = osc, rect
+        return OscResult(best, witness, p, rect_class)
+
+    if p == 2:
+        sq = vals * vals
+        for shape in iter_shapes(grid):
+            sides = axis_sides(grid, shape)
+            count = shape_cell_count(grid, shape)
+            mean = window_sums(vals, sides) / count
+            osc2 = window_sums(sq, sides) / count - mean * mean
+            pos = np.unravel_index(int(np.argmax(osc2)), osc2.shape)
+            if float(osc2[pos]) > best:
+                best = float(osc2[pos])
+                witness = AlignedBox(tuple(int(x) for x in pos), tuple(shape))
+        return OscResult(math.sqrt(max(best, 0.0)), witness, p, rect_class)
+
+    for shape in iter_shapes(grid):
+        sides = axis_sides(grid, shape)
+        ranges = [range(L - s + 1) for L, s in zip(grid.shape, sides)]
+        for starts in itertools.product(*ranges):
+            sl = tuple(slice(a, a + s) for a, s in zip(starts, sides))
+            sub = vals[sl]
+            osc = float(np.abs(sub - sub.mean()).mean())
+            if osc > best:
+                best = osc
+                witness = AlignedBox(tuple(starts), tuple(shape))
+    return OscResult(best, witness, p, rect_class)
+
+
+@dataclass
+class PackingResult:
+    """A packing-norm value, the mask attaining it, and how it was obtained."""
+
+    value: float
+    witness: OpenSetMask
+    mode: str
+    diagnostics: dict = field(default_factory=dict)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    x = x.astype(np.uint64)
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+
+
+def _rect_data(f: GridFunction, alpha: float | None = None):
+    """(rectangles, energies, flat cell-index arrays) in canonical order,
+    optionally restricted to |R| <= alpha."""
+    energies = rectangle_energies(f)
+    rects = [r for r in energies if alpha is None or r.measure <= alpha]
+    cells = [r.cell_indices(f.grid) for r in rects]
+    return rects, np.array([energies[r] for r in rects]), cells
+
+
+def exact_cell_cap() -> int:
+    env = os.environ.get(EXACT_CAP_ENV)
+    if env is not None:
+        return int(env)
+    return DEFAULT_EXACT_CAP
+
+
+def bmo_d_norm_exact(
+    f: GridFunction, cap_cells: int | None = None, alpha: float | None = None
+) -> PackingResult:
+    """Exact max over all nonempty cell masks of packing energy / measure.
+
+    Enumerates all 2^M - 1 masks; ties broken by smallest mask, then by
+    canonical (integer) mask order.  `alpha` restricts to |R| <= alpha.
+    """
+    grid = f.grid
+    cap = cap_cells if cap_cells is not None else exact_cell_cap()
+    m_cells = grid.cell_count
+    if m_cells > cap:
+        raise ResourceCapError(
+            f"{m_cells} cells exceed the exact-oracle cap of {cap}; "
+            "use bmo_d_norm_search"
+        )
+    _, energies, cells = _rect_data(f, alpha)
+    masks = np.arange(1, 2 ** m_cells, dtype=np.int64)
+    acc = np.zeros(masks.shape)
+    for e, cell_idx in zip(energies, cells):
+        rmask = 0
+        for c in cell_idx:
+            rmask |= 1 << int(c)
+        acc[(masks & rmask) == rmask] += e
+    sizes = _popcount(masks)
+    ratios = acc / (sizes * grid.cell_volume)
+    top = float(ratios.max())
+    cand = np.flatnonzero(ratios == top)
+    cand = cand[sizes[cand] == sizes[cand].min()]
+    pick = int(masks[cand[0]])
+    indices = [b for b in range(m_cells) if pick >> b & 1]
+    witness = OpenSetMask.from_cell_indices(grid, indices)
+    return PackingResult(
+        value=top,
+        witness=witness,
+        mode="exact",
+        diagnostics={"masks_enumerated": int(masks.size), "rectangles": int(energies.size)},
+    )
+
+
+class _PackingSearch:
+    """Greedy add/remove of cells over the packing ratio objective."""
+
+    def __init__(self, f: GridFunction, alpha: float | None = None):
+        self.grid = f.grid
+        self.rects, self.energies, self.cells = _rect_data(f, alpha)
+        self.m = self.grid.cell_count
+        self.cell_volume = self.grid.cell_volume
+        # Flattened incidence: one (cell, rect) entry per cell of each rectangle.
+        self.inc_cells = np.concatenate(self.cells) if self.cells else np.zeros(0, dtype=int)
+        self.inc_rects = np.concatenate(
+            [np.full(len(idx), r) for r, idx in enumerate(self.cells)]
+        ) if self.cells else np.zeros(0, dtype=int)
+        self.inc_energy = self.energies[self.inc_rects] if len(self.energies) else np.zeros(0)
+
+    def density(self) -> np.ndarray:
+        """Per-cell energy density sum_{R ni x} ||Delta_R f||^2 / |R|."""
+        dens = np.zeros(self.m)
+        measures = np.array([r.measure for r in self.rects])
+        np.add.at(dens, self.inc_cells, self.inc_energy / measures[self.inc_rects])
+        return dens
+
+    def local_search(self, flat: np.ndarray):
+        """Best-improvement single-cell toggles from a starting mask."""
+        flat = flat.copy()
+        if not flat.any():
+            flat[0] = True
+        missing = np.array([int((~flat[idx]).sum()) for idx in self.cells], dtype=int)
+        while True:
+            num = float(self.energies[missing == 0].sum()) if len(self.energies) else 0.0
+            size = int(flat.sum())
+            ratio = num / (size * self.cell_volume)
+            sel = missing[self.inc_rects]
+            gain_add = np.zeros(self.m)
+            np.add.at(gain_add, self.inc_cells[sel == 1], self.inc_energy[sel == 1])
+            gain_rem = np.zeros(self.m)
+            np.add.at(gain_rem, self.inc_cells[sel == 0], self.inc_energy[sel == 0])
+            cand_add = (num + gain_add) / ((size + 1) * self.cell_volume)
+            cand_add[flat] = -np.inf
+            if size > 1:
+                cand_rem = (num - gain_rem) / ((size - 1) * self.cell_volume)
+            else:
+                cand_rem = np.full(self.m, -np.inf)
+            cand_rem[~flat] = -np.inf
+            c_add = int(np.argmax(cand_add))
+            c_rem = int(np.argmax(cand_rem))
+            if cand_add[c_add] >= cand_rem[c_rem]:
+                best, c, adding = float(cand_add[c_add]), c_add, True
+            else:
+                best, c, adding = float(cand_rem[c_rem]), c_rem, False
+            if best <= ratio:
+                return ratio, flat
+            touched = self.inc_rects[self.inc_cells == c]
+            if adding:
+                flat[c] = True
+                missing[touched] -= 1
+            else:
+                flat[c] = False
+                missing[touched] += 1
+
+
+def bmo_d_norm_search(
+    f: GridFunction, restarts: int = 12, seed: int = 0, alpha: float | None = None
+) -> PackingResult:
+    """Seeded greedy local search; a certified lower bound on the exact norm.
+
+    Seeds: superlevel sets of the cell energy density, the cell sets of
+    the highest-ratio single rectangles, and `restarts` random masks.
+    The reported value is the exactly recomputed ratio of the witness.
+    """
+    grid = f.grid
+    search = _PackingSearch(f, alpha)
+    seeds = []
+    dens = search.density()
+    thresholds = np.unique(dens[dens > 0])[::-1][:64]
+    for t in thresholds:
+        seeds.append(dens >= t)
+    order = np.argsort(
+        -search.energies / np.array([r.measure for r in search.rects])
+    )[:64]
+    for r in order:
+        if search.energies[r] > 0:
+            flat = np.zeros(search.m, dtype=bool)
+            flat[search.cells[r]] = True
+            seeds.append(flat)
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        flat = rng.random(search.m) < 0.5
+        if not flat.any():
+            flat[int(rng.integers(search.m))] = True
+        seeds.append(flat)
+    if not seeds:
+        seeds.append(np.eye(1, search.m, 0, dtype=bool).ravel())
+    best_ratio, best_flat = -1.0, None
+    for flat in seeds:
+        ratio, out = search.local_search(flat.copy())
+        if ratio > best_ratio or (
+            ratio == best_ratio and out.sum() < best_flat.sum()
+        ):
+            best_ratio, best_flat = ratio, out
+    witness = OpenSetMask(grid, best_flat.reshape(grid.shape))
+    value = packing_energy(f, witness, alpha=alpha) / witness.measure
+    return PackingResult(
+        value=value,
+        witness=witness,
+        mode="search",
+        diagnostics={"seeds": len(seeds), "restarts": restarts, "seed": seed},
+    )
+
+
+def shifted_packing(
+    f: GridFunction, shift, restarts: int = 12, seed: int = 0
+) -> PackingResult:
+    """BMO_d search value w.r.t. the lattice translated cyclically by whole cells."""
+    grid = f.grid
+    shift = list(shift)
+    if len(shift) != len(grid.shape):
+        raise GridError("need one integer cell offset per axis")
+    if any(s != int(s) for s in shift):
+        raise GridError("shifts must be whole finest cells")
+    shift = [int(s) for s in shift]
+    rolled = GridFunction(grid, np.roll(f.values, tuple(-s for s in shift), axis=tuple(range(len(shift)))))
+    res = bmo_d_norm_search(rolled, restarts=restarts, seed=seed)
+    back = np.roll(res.witness.cells, tuple(shift), axis=tuple(range(len(shift))))
+    diag = dict(res.diagnostics)
+    diag["shift"] = shift
+    return PackingResult(res.value, OpenSetMask(grid, back), "search", diag)

@@ -1,0 +1,405 @@
+"""Numerical certification of the slice inequality, the pigeonhole split,
+the product bound for Delta-energies of phi*b, the max-of-bmo facts, and
+the full weak-star convergence pipeline with its L^1 counterexample.
+
+Every check computes both sides of its inequality by independent direct
+summation and reports the slack; nothing is asserted symbolically.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import GridError
+from . import generators
+from .grid import (
+    GridFunction,
+    OpenSetMask,
+    ProductGrid,
+    RectangleFamily,
+    slice_family,
+)
+from .martingale import delta_R
+from .maximal import TauParams, tau_build
+from .norms import (
+    bmo_d_norm_search,
+    h1_norm,
+    little_bmo_norm,
+    packing_energy,
+    rectangle_energies,
+)
+from .windows import factor_gradient_l1max, iter_shapes, axis_sides
+
+PASS_TOL = 1e-10
+
+
+@dataclass
+class InequalityReport:
+    name: str
+    lhs: float
+    rhs: float
+    hypotheses: dict = field(default_factory=dict)
+    witness: dict = field(default_factory=dict)
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def passed(self) -> bool:
+        ok = self.lhs <= self.rhs + PASS_TOL * max(1.0, abs(self.rhs))
+        return ok and all(self.hypotheses.values())
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "slack": self.slack,
+            "hypotheses": dict(self.hypotheses),
+            "passed": self.passed,
+            "witness": self.witness,
+        }
+
+
+def check_lemma_a(f: GridFunction, family: RectangleFamily, i: int) -> InequalityReport:
+    """Family energy vs the slicewise bound in factor i.
+
+    lhs = sum over R in the family of ||Delta_R f||_2^2; rhs integrates,
+    over the factor-i variable, the energy of the sliced family applied
+    to the sliced function.
+    """
+    grid = f.grid
+    if grid.d < 2:
+        raise GridError("the slice inequality needs d >= 2")
+    if family.grid != grid:
+        raise GridError("family grid does not match function grid")
+    lhs = float(sum(delta_R(f, r).l2_sq(grid) for r in family))
+    fcv = grid.factor_cell_volume(i)
+    rhs = 0.0
+    side = grid.axis_side(i)
+    for pos in itertools.product(range(side), repeat=grid.factor_dims[i]):
+        fs = f.slice_at(i, pos)
+        fam_s = slice_family(family, i, pos)
+        rhs += fcv * float(sum(delta_R(fs, r).l2_sq(fs.grid) for r in fam_s))
+    return InequalityReport(
+        name="lemma-a",
+        lhs=lhs,
+        rhs=rhs,
+        hypotheses={"d >= 2": grid.d >= 2},
+        witness={"factor": i, "family_size": len(family)},
+    )
+
+
+@dataclass
+class SplitResult:
+    families: tuple
+    covered: bool
+    uncovered: list
+    exponents: tuple  # N_i per factor
+
+    def to_dict(self) -> dict:
+        return {
+            "sizes": [len(fam) for fam in self.families],
+            "covered": self.covered,
+            "uncovered": [r.key() for r in self.uncovered],
+            "exponents": list(self.exponents),
+        }
+
+
+def split_family(family: RectangleFamily, alpha: float) -> SplitResult:
+    """Cover a family of rectangles with |R| < alpha by the d slice classes.
+
+    F^i keeps the rectangles whose complementary measure |R'_i| is below
+    alpha^{N_i}, N_i = (n - n_i)/n.  Comparisons run in log2 to keep the
+    power-of-two measures exact.
+    """
+    grid = family.grid
+    if grid.d < 2:
+        raise GridError("the pigeonhole split needs d >= 2")
+    if alpha <= 0:
+        raise GridError("alpha must be positive")
+    n = grid.n
+    log2_alpha = math.log2(alpha)
+    for rect in family:
+        neg_l = -sum(
+            grid.factor_dims[i] * rect.cubes[i].level for i in range(grid.d)
+        )
+        if not neg_l < log2_alpha:
+            raise GridError(f"rectangle {rect.key()} has |R| >= alpha")
+    exponents = tuple((n - grid.factor_dims[i]) / n for i in range(grid.d))
+    buckets = [[] for _ in range(grid.d)]
+    uncovered = []
+    for rect in family:
+        hit = False
+        for i in range(grid.d):
+            neg_li = -sum(
+                grid.factor_dims[k] * rect.cubes[k].level
+                for k in range(grid.d) if k != i
+            )
+            # |R'_i| < alpha^{N_i}  <=>  n * log2|R'_i| < (n - n_i) * log2(alpha)
+            if n * neg_li < (n - grid.factor_dims[i]) * log2_alpha:
+                buckets[i].append(rect)
+                hit = True
+        if not hit:
+            uncovered.append(rect)
+    return SplitResult(
+        families=tuple(RectangleFamily(grid, b) for b in buckets),
+        covered=not uncovered,
+        uncovered=uncovered,
+        exponents=exponents,
+    )
+
+
+def check_lemma_b(
+    phi: GridFunction,
+    b: GridFunction,
+    mask: OpenSetMask,
+    alpha: float,
+) -> InequalityReport:
+    """Capped packing energy of phi*b against 2 d! (||b||_bmo^2 + alpha^{2/n}) |Omega|."""
+    grid = phi.grid
+    tol = 1e-12
+    hypotheses = {
+        "sup phi <= 1": phi.linf() <= 1.0 + tol,
+        "sup b <= 1": b.linf() <= 1.0 + tol,
+        "alpha < 1": alpha < 1.0,
+        "|Omega| > 0": mask.measure > 0,
+    }
+    for i in range(grid.d):
+        hypotheses[f"grad_{i} phi <= 1"] = factor_gradient_l1max(phi, i) <= 1.0 + tol
+    product = phi * b
+    lhs = packing_energy(product, mask, alpha=alpha)
+    bmo_b = little_bmo_norm(b, p=2, rect_class="aligned").value
+    rhs = (
+        2.0 * math.factorial(grid.d)
+        * (bmo_b ** 2 + alpha ** (2.0 / grid.n))
+        * mask.measure
+    )
+    return InequalityReport(
+        name="lemma-b",
+        lhs=float(lhs),
+        rhs=float(rhs),
+        hypotheses=hypotheses,
+        witness={
+            "alpha": alpha,
+            "bmo_b": bmo_b,
+            "omega_measure": mask.measure,
+            "d_factorial": math.factorial(grid.d),
+        },
+    )
+
+
+def check_lemma_b_base(
+    phi: GridFunction, b: GridFunction, alpha: float
+) -> InequalityReport:
+    """d=1 in-proof decomposition: for every dyadic cube Q0 with |Q0| <= alpha,
+    the packed energy inside Q0 equals the L^2 oscillation over Q0 and is
+    bounded by 2(||b||_bmo^2 + alpha^{2/n}) |Q0|."""
+    grid = phi.grid
+    if grid.d != 1:
+        raise GridError("the base-case check is one-parameter only")
+    product = phi * b
+    energies = rectangle_energies(product)
+    bmo_b = little_bmo_norm(b, p=2, rect_class="aligned").value
+    vals = product.values
+    worst = None
+    identity_gap = 0.0
+    n1 = grid.factor_dims[0]
+    for j in range(grid.depths[0] + 1):
+        for coords in itertools.product(range(2 ** j), repeat=n1):
+            measure = 2.0 ** (-n1 * j)
+            if measure > alpha:
+                continue
+            width = 2 ** (grid.depths[0] - j)
+            sl = tuple(slice(c * width, (c + 1) * width) for c in coords)
+            sub = vals[sl]
+            osc = float(((sub - sub.mean()) ** 2).sum()) * grid.cell_volume
+            packed = sum(
+                e for r, e in energies.items()
+                if all(
+                    c * width <= rc * 2 ** (grid.depths[0] - r.cubes[0].level)
+                    and (rc + 1) * 2 ** (grid.depths[0] - r.cubes[0].level) <= (c + 1) * width
+                    for c, rc in zip(coords, r.cubes[0].coords)
+                )
+            )
+            identity_gap = max(identity_gap, abs(packed - osc))
+            bound = 2.0 * (bmo_b ** 2 + alpha ** (2.0 / n1)) * measure
+            if worst is None or osc - bound > worst[0] - worst[1]:
+                worst = (osc, bound, j, coords)
+    if worst is None:
+        raise GridError("alpha admits no dyadic cube; increase it")
+    return InequalityReport(
+        name="lemma-b-base",
+        lhs=worst[0],
+        rhs=worst[1],
+        hypotheses={"packing = oscillation identity": identity_gap <= 1e-10},
+        witness={
+            "identity_gap": identity_gap,
+            "level": worst[2],
+            "coords": list(worst[3]),
+            "bmo_b": bmo_b,
+        },
+    )
+
+
+def check_abs_bmo(f: GridFunction, g: GridFunction) -> InequalityReport:
+    """Oscillation of |f| vs f per aligned rectangle, and the max-function
+    bmo bound via max{f,g} = (|f-g| + f + g)/2.
+
+    The factor-2 comparison is asserted; the factor-1 pass rate is only
+    reported (the mean-vs-best-constant question).
+    """
+    grid = f.grid
+    vals = f.values.astype(np.float64)
+    absvals = np.abs(vals)
+    worst = (0.0, 0.0)
+    factor1_pass = 0
+    boxes = 0
+    for shape in iter_shapes(grid):
+        sides = axis_sides(grid, shape)
+        ranges = [range(L - s + 1) for L, s in zip(grid.shape, sides)]
+        for starts in itertools.product(*ranges):
+            sl = tuple(slice(a, a + s) for a, s in zip(starts, sides))
+            sub, asub = vals[sl], absvals[sl]
+            osc_f = float(np.abs(sub - sub.mean()).mean())
+            osc_abs = float(np.abs(asub - asub.mean()).mean())
+            boxes += 1
+            if osc_abs <= osc_f + PASS_TOL:
+                factor1_pass += 1
+            if osc_abs - 2.0 * osc_f > worst[0] - worst[1]:
+                worst = (osc_abs, 2.0 * osc_f)
+    maxfg = GridFunction(grid, np.maximum(vals, g.values.astype(np.float64)))
+    n_max = little_bmo_norm(maxfg, p=1, rect_class="aligned").value
+    n_f = little_bmo_norm(f, p=1, rect_class="aligned").value
+    n_g = little_bmo_norm(g, p=1, rect_class="aligned").value
+    n_diff = little_bmo_norm((f - g).abs(), p=1, rect_class="aligned").value
+    max_bound = (n_f + n_g + n_diff) / 2.0
+    return InequalityReport(
+        name="abs-bmo",
+        lhs=worst[0],
+        rhs=worst[1],
+        hypotheses={"max-identity bound": n_max <= max_bound + PASS_TOL * max(1.0, max_bound)},
+        witness={
+            "factor1_pass_rate": factor1_pass / boxes,
+            "boxes": boxes,
+            "max_bmo": n_max,
+            "max_bound": max_bound,
+        },
+    )
+
+
+@dataclass
+class TheoremRunConfig:
+    """Knobs for the weak-star convergence demonstration."""
+
+    grid: ProductGrid
+    epsilon: float = 1e-2
+    eta: float = 5e-3
+    alpha: float = 0.05
+    delta: float = 0.7
+    generator: str = "h1-bounded"
+    horizon: int = 8
+    seed: int = 0
+    search_restarts: int = 4
+    phi_width: float = 0.8
+
+    def __post_init__(self):
+        for name in ("epsilon", "eta", "alpha", "delta"):
+            if getattr(self, name) <= 0:
+                raise GridError(f"{name} must be positive")
+        if self.generator not in ("h1-bounded", "l1-spike"):
+            raise GridError(f"unknown sequence generator {self.generator!r}")
+
+
+def theorem_demo(config: TheoremRunConfig) -> dict:
+    """Run the convergence (or counterexample) pipeline and report everything.
+
+    For each n the record carries the pairing gap, the bad set E_n, the
+    cutoff tau built on it, and the three error terms of the split
+    |int (f - f_n) phi| <= |int (f-f_n) phi (1-tau)| + int_{supp tau} |f phi|
+    + |int f_n phi tau|.
+    """
+    grid = config.grid
+    if config.generator == "l1-spike":
+        phi = generators.smooth_bump(grid, width=config.phi_width, gradient_bound=False)
+    else:
+        phi = generators.smooth_bump(grid, width=config.phi_width, gradient_bound=True)
+    phi_support = OpenSetMask(grid, phi.values != 0.0)
+    records = []
+    x0 = generators.spike_point_cell(grid)
+    phi_x0 = float(phi.values[x0])
+    for n in range(config.horizon + 1):
+        if config.generator == "h1-bounded":
+            f_n, f = generators.h1_bounded_sequence(grid, n)
+        else:
+            f_n = generators.spike_sequence(grid, n)
+            f = GridFunction.constant(grid, 0.0)
+        pair_n = float((f_n * phi).integral())
+        pair_f = float((f * phi).integral())
+        gap = abs(pair_n - pair_f)
+        bad = (np.abs(f_n.values - f.values) > config.eta) & phi_support.cells
+        e_n = OpenSetMask(grid, bad)
+        record = {
+            "n": n,
+            "pairing_f_n": pair_n,
+            "pairing_f": pair_f,
+            "gap": gap,
+            "E_n_measure": e_n.measure,
+            "E_n_small": e_n.measure < config.eta,
+            "h1_f_n": h1_norm(f_n),
+        }
+        if not e_n.is_empty:
+            report = tau_build(e_n, TauParams(delta=config.delta))
+            tau = report.tau
+            record["tau_support"] = report.support_measure
+            record["tau_bmo"] = report.bmo_norm_measured
+        else:
+            tau = GridFunction.constant(grid, 0.0)
+            record["tau_support"] = 0.0
+            record["tau_bmo"] = 0.0
+        diff = f - f_n
+        one_minus_tau = GridFunction(grid, 1.0 - tau.values)
+        record["term_far"] = abs(float((diff * phi * one_minus_tau).integral()))
+        supp_tau = tau.values > 0
+        record["term_f_on_supp"] = float(
+            (np.abs(f.values * phi.values) * supp_tau).sum() * grid.cell_volume
+        )
+        record["term_fn_tau"] = abs(float((f_n * phi * tau).integral()))
+        record["split_bound"] = (
+            record["term_far"] + record["term_f_on_supp"] + record["term_fn_tau"]
+        )
+        records.append((record, tau))
+    final, final_tau = records[-1]
+    phi_tau = phi * final_tau
+    search = bmo_d_norm_search(
+        phi_tau, restarts=config.search_restarts, seed=config.seed
+    )
+    bmo_phi = little_bmo_norm(phi, p=2, rect_class="aligned").value
+    case_small = (
+        2.0 * math.factorial(grid.d)
+        * (bmo_phi ** 2 + config.alpha ** (2.0 / grid.n))
+    )
+    case_large = (
+        final["tau_support"] / config.alpha if config.alpha > 0 else float("inf")
+    )
+    return {
+        "config": {
+            "grid": grid.to_dict(),
+            "epsilon": config.epsilon,
+            "eta": config.eta,
+            "alpha": config.alpha,
+            "delta": config.delta,
+            "generator": config.generator,
+            "horizon": config.horizon,
+        },
+        "phi_at_x0": phi_x0,
+        "records": [r for r, _ in records],
+        "phi_tau_bmo_search": search.value,
+        "case_small_omega_bound": case_small,
+        "case_large_omega_bound": case_large,
+    }
