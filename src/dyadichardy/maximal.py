@@ -2,10 +2,15 @@
 
 The maximal operator takes averages of |f| over grid-aligned products of
 per-factor cubes (any integer cell side, any in-domain position); the
-same rectangle class as the little-bmo norm.  The fast path computes
-per-shape window sums from prefix tables and lifts them to per-cell
-maxima with an O(cells) sliding max; a literal all-rectangles loop is
-kept as the test oracle.
+same rectangle class as the little-bmo norm.  The fast path uses that a
+max over windows commutes with the per-factor cover maxima: for each
+side tuple of the factors before the last it takes exact window sums,
+batches the last factor's sides in one interval kernel (best mean over
+all intervals containing a cell, from one prefix table), and lifts the
+result to per-cell maxima with an O(cells) sliding max along the earlier
+factors.  The work is O(cells x windows per cell) and the kernel's
+temporaries are bounded by a fixed chunk (see `windows`).  A literal
+all-rectangles loop is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import ContractionError, GridError
 from .grid import GridFunction, OpenSetMask
-from .windows import axis_sides, cover_max, iter_shapes, shape_cell_count, window_sums
+from .windows import axis_sides, cover_max, iter_shapes, iter_window_sums, last_factor_max
 
 
 def strong_maximal(f: GridFunction) -> GridFunction:
@@ -26,12 +31,10 @@ def strong_maximal(f: GridFunction) -> GridFunction:
     grid = f.grid
     a = np.abs(f.values.astype(np.float64))
     out = np.full(grid.shape, -np.inf)
-    for shape in iter_shapes(grid):
-        sides = axis_sides(grid, shape)
-        count = shape_cell_count(grid, shape)
-        avg = window_sums(a, sides) / count
-        for axis, s in enumerate(sides):
-            avg = cover_max(avg, s, grid.shape[axis], axis)
+    for shape, count, sums in iter_window_sums(a, grid):
+        avg = last_factor_max(sums, count, grid.factor_dims[-1])
+        for axis, s in enumerate(axis_sides(grid, shape)):
+            avg = cover_max(avg, s, axis)
         np.maximum(out, avg, out=out)
     return GridFunction(grid, out)
 

@@ -27,13 +27,7 @@ from .grid import (
     enumerate_rectangles,
 )
 from .martingale import _axis_levels, level_difference
-from .windows import (
-    AlignedBox,
-    axis_sides,
-    iter_shapes,
-    shape_cell_count,
-    window_sums,
-)
+from .windows import AlignedBox, axis_sides, iter_last_factor_means, iter_shapes, iter_window_sums
 
 EXACT_CAP_ENV = "DH_CAP_CELLS"
 DEFAULT_EXACT_CAP = 22
@@ -158,16 +152,18 @@ def little_bmo_norm(f: GridFunction, p: int = 2, rect_class: str = "aligned") ->
         return OscResult(best, witness, p, rect_class)
 
     if p == 2:
-        sq = vals * vals
-        for shape in iter_shapes(grid):
-            sides = axis_sides(grid, shape)
-            count = shape_cell_count(grid, shape)
-            mean = window_sums(vals, sides) / count
-            osc2 = window_sums(sq, sides) / count - mean * mean
-            pos = np.unravel_index(int(np.argmax(osc2)), osc2.shape)
-            if float(osc2[pos]) > best:
-                best = float(osc2[pos])
-                witness = AlignedBox(tuple(int(x) for x in pos), tuple(shape))
+        # Runs of last-factor sides, side axis first, so the first argmax in
+        # C order is the shape-major, start-lexicographic first maximum.
+        # Out-of-domain starts hold mean -inf, hence osc2 = -inf - inf = -inf.
+        n = grid.factor_dims[-1]
+        for shape, count, sums in iter_window_sums(np.stack([vals, vals * vals]), grid):
+            for sides, (mean, mean_sq) in iter_last_factor_means(sums, count, n):
+                osc2 = np.moveaxis(mean_sq - mean * mean, -n - 1, 0)
+                pos = np.unravel_index(int(np.argmax(osc2)), osc2.shape)
+                if float(osc2[pos]) > best:
+                    best = float(osc2[pos])
+                    starts = tuple(int(x) for x in pos[1:])
+                    witness = AlignedBox(starts, shape + (int(sides[pos[0]]),))
         return OscResult(math.sqrt(max(best, 0.0)), witness, p, rect_class)
 
     for shape in iter_shapes(grid):

@@ -4,6 +4,21 @@ A window is a product of per-factor cubes with integer cell side: within
 factor i all n_i axes share the same side, but positions vary per axis.
 Only windows lying fully inside the domain are enumerated (clipping a
 cube at the boundary would not leave a cube).
+
+The aligned-window kernel walks the factors in order.  `iter_window_sums`
+loops in Python over the sides of every factor but the last, carrying
+exact window sums (a zero-led cumulative sum per axis, differenced) that
+the later factors reuse.  The last factor is batched when it has one
+axis: from one prefix table along that axis, `last_factor_max` takes,
+per cell, the best average over all intervals containing it (a suffix
+max over interval ends, then a masked max over starts), and
+`iter_last_factor_means` stacks the window means of a run of sides for a
+shape-major, start-lexicographic argmax.  A last factor of cubes keeps a
+loop over its sides.  The work is O(cells x windows per cell); interval
+blocks are cut into chunks of about BLOCK elements, so the temporaries
+stay small whatever the grid.  A one-cell window takes the cell itself,
+not a difference of prefix sums, so every sum and mean is bit for bit
+what a per-shape pass computes.
 """
 
 from __future__ import annotations
@@ -14,6 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, ProductGrid
+
+# Elements per interval block of the last-factor kernels.
+BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -33,10 +51,7 @@ class AlignedBox:
         return tuple(sl)
 
     def cell_count(self, grid: ProductGrid) -> int:
-        c = 1
-        for i, s in enumerate(self.sides):
-            c *= s ** grid.factor_dims[i]
-        return c
+        return shape_cell_count(grid, self.sides)
 
     def measure(self, grid: ProductGrid) -> float:
         return self.cell_count(grid) * grid.cell_volume
@@ -62,70 +77,146 @@ def shape_cell_count(grid: ProductGrid, shape) -> int:
     return c
 
 
-def window_sums(values: np.ndarray, sides) -> np.ndarray:
-    """Sum of values over every in-domain window of the given per-axis sides.
+def _take(a: np.ndarray, axis: int, sl: slice) -> np.ndarray:
+    idx = [slice(None)] * a.ndim
+    idx[axis] = sl
+    return a[tuple(idx)]
 
-    Output axis a has length L_a - s_a + 1 (one entry per window start).
+
+def _prefix(values: np.ndarray, axis: int) -> np.ndarray:
+    """Cumulative sums along `axis` with a leading 0: P[k] sums the first k cells."""
+    c = np.cumsum(values, axis=axis)
+    return np.concatenate([np.zeros_like(_take(c, axis, slice(0, 1))), c], axis=axis)
+
+
+def window_sums(values: np.ndarray, axes, side: int) -> np.ndarray:
+    """Sums over every window of `side` cells along each of `axes`, in order.
+
+    Each listed axis of length L becomes one of length L - side + 1 (one
+    entry per window start).
     """
-    def take(arr, axis, sl):
-        idx = [slice(None)] * arr.ndim
-        idx[axis] = sl
-        return arr[tuple(idx)]
-
     out = np.asarray(values)
-    for axis, s in enumerate(sides):
-        if s == 1:
-            continue
-        c = np.cumsum(out, axis=axis)
-        # W[0] = c[s-1]; W[i] = c[i+s-1] - c[i-1]
-        out = np.concatenate(
-            [take(c, axis, slice(s - 1, s)),
-             take(c, axis, slice(s, None)) - take(c, axis, slice(None, -s))],
-            axis=axis,
-        )
+    if side == 1:
+        return out
+    for axis in axes:
+        p = _prefix(out, axis)
+        out = _take(p, axis, slice(side, None)) - _take(p, axis, slice(None, -side))
     return out
 
 
-def iter_boxes(grid: ProductGrid):
-    """All aligned boxes, shape-major then start-lexicographic."""
-    for shape in iter_shapes(grid):
-        sides = axis_sides(grid, shape)
-        ranges = [range(L - s + 1) for L, s in zip(grid.shape, sides)]
-        for starts in itertools.product(*ranges):
-            yield AlignedBox(tuple(starts), tuple(shape))
+def iter_window_sums(values: np.ndarray, grid: ProductGrid):
+    """Window sums for every side tuple of the factors before the last.
+
+    Yields (shape, count, sums) in shape-lexicographic order: the sides of
+    factors 0..d-2, the cell count of one such window, and the sums over
+    those factors' axes (one entry per start), with the last factor's
+    axes left as cells.  Leading axes of `values` before the grid axes
+    are carried along (the grid axes are addressed from the end).
+    """
+    ndim = len(grid.shape)
+
+    def walk(sums, i, shape, count):
+        if i == grid.d - 1:
+            yield shape, count, sums
+            return
+        axes = [axis - ndim for axis in grid.factor_axes(i)]
+        for s in range(1, grid.axis_side(i) + 1):
+            yield from walk(window_sums(sums, axes, s), i + 1, shape + (s,),
+                            count * s ** grid.factor_dims[i])
+
+    yield from walk(np.asarray(values), 0, (), 1)
 
 
-def sliding_max(a: np.ndarray, s: int, axis: int) -> np.ndarray:
-    """Forward sliding max: out[y] = max(a[y:y+s]) along `axis` (van Herk)."""
-    if s == 1:
-        return a
-    a = np.moveaxis(a, axis, -1)
-    n = a.shape[-1]
-    nblocks = -(-n // s)
-    pad = nblocks * s - n
-    if pad:
-        a = np.concatenate([a, np.full(a.shape[:-1] + (pad,), -np.inf)], axis=-1)
-    blocks = a.reshape(a.shape[:-1] + (nblocks, s))
-    pre = np.maximum.accumulate(blocks, axis=-1).reshape(a.shape[:-1] + (nblocks * s,))
-    suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
-    suf = suf.reshape(a.shape[:-1] + (nblocks * s,))
-    out = np.maximum(suf[..., : n - s + 1], pre[..., s - 1: n])
-    return np.moveaxis(out, -1, axis)
+def iter_last_factor_means(sums: np.ndarray, count: int, n: int):
+    """Window means over the last factor's cubes, in runs of consecutive sides.
+
+    `sums` holds window sums of `count` cells each, with the last factor's
+    n axes still cells.  Yields (sides, means): means[..., k, starts] is
+    the mean over the cube of side sides[k] at those starts, the side axis
+    sitting just before the last factor's n axes; starts whose cube would
+    leave the domain hold -inf.  With n = 1 all sides come from one prefix
+    table; cubes are taken one side at a time.
+    """
+    L = sums.shape[-1]
+    if n > 1:
+        for s in range(1, L + 1):
+            ws = window_sums(sums, range(-n, 0), s) / (count * s ** n)
+            yield np.array([s]), np.expand_dims(ws, -n - 1)
+        return
+    prefix = _prefix(sums, -1)
+    # ends[..., s, a] = prefix[..., a + s], past the domain end padded with its last entry
+    padded = np.concatenate([prefix, np.repeat(prefix[..., -1:], L, axis=-1)], axis=-1)
+    ends = np.lib.stride_tricks.sliding_window_view(padded, L, axis=-1)
+    starts = np.arange(L)
+    step = max(1, BLOCK // sums.size)
+    for lo in range(1, L + 1, step):
+        sides = np.arange(lo, min(lo + step, L + 1))
+        block = ends[..., lo:lo + len(sides), :] - prefix[..., None, :L]
+        if lo == 1:
+            block[..., 0, :] = sums  # one-cell windows: the cell itself
+        block /= count * sides[:, None]
+        np.copyto(block, -np.inf, where=starts + sides[:, None] > L)
+        yield sides, block
 
 
-def cover_max(a: np.ndarray, s: int, size: int, axis: int) -> np.ndarray:
+def last_factor_max(sums: np.ndarray, count: int, n: int) -> np.ndarray:
+    """Per cell of the last factor, the largest window mean over cubes containing it.
+
+    `sums` and `count` are as for `iter_last_factor_means`.  With n = 1,
+    out[..., x] = max over a <= x <= e of sum(cells a..e) / (count (e - a + 1)),
+    computed on blocks of starts a: suffix max over the last cell e, then
+    the max over starts a <= x.
+    """
+    if n > 1:
+        out = np.full(sums.shape, -np.inf)
+        for sides, means in iter_last_factor_means(sums, count, n):
+            avg = np.squeeze(means, -n - 1)
+            for axis in range(-n, 0):
+                avg = cover_max(avg, int(sides[0]), axis)
+            np.maximum(out, avg, out=out)
+        return out
+    L = sums.shape[-1]
+    prefix = _prefix(sums, -1)
+    rows = sums.size // L
+    out = np.full(sums.shape, -np.inf)
+    lo = 0
+    while lo < L:
+        hi = min(L, lo + max(1, BLOCK // (rows * (L - lo))))
+        # block[..., k, j]: the interval of cells lo + k .. lo + j
+        block = prefix[..., None, lo + 1:] - prefix[..., lo:hi, None]
+        k = np.arange(hi - lo)
+        block[..., k, k] = sums[..., lo:hi]  # one-cell windows: the cell itself
+        length = np.arange(1.0, L - lo + 1) - k[:, None]
+        before = length < 1  # cells x = lo + j before the start lo + k
+        np.maximum(length, 1, out=length)
+        length *= count
+        block /= length
+        block = np.maximum.accumulate(block[..., ::-1], axis=-1)[..., ::-1]
+        np.copyto(block, -np.inf, where=before)
+        np.maximum(out[..., lo:], block.max(axis=-2), out=out[..., lo:])
+        lo = hi
+    return out
+
+
+def cover_max(a: np.ndarray, s: int, axis: int) -> np.ndarray:
     """Lift per-window values to per-cell maxima along one axis.
 
-    Input axis holds one value per window start (length size - s + 1);
-    output cell x gets the max over windows covering x.
+    Input axis holds one value per window start (length L - s + 1);
+    output cell x gets the max over the windows covering x, starts
+    x - s + 1 .. x: a width-s sliding max (van Herk) over the input with
+    s - 1 cells of -inf in front.
     """
     if s == 1:
         return a
-    a = np.moveaxis(a, axis, -1)
-    pad = np.full(a.shape[:-1] + (s - 1,), -np.inf)
-    ext = np.concatenate([pad, a, pad], axis=-1)
-    out = sliding_max(ext, s, ext.ndim - 1)
-    return np.moveaxis(out, -1, axis)
+    a = np.swapaxes(a, axis, -1)
+    n = a.shape[-1] + s - 1
+    nblocks = -(-(n + s - 1) // s)
+    ext = np.full(a.shape[:-1] + (nblocks * s,), -np.inf)
+    ext[..., s - 1: n] = a
+    blocks = ext.reshape(a.shape[:-1] + (nblocks, s))
+    pre = np.maximum.accumulate(blocks, axis=-1).reshape(ext.shape)
+    suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(ext.shape)
+    return np.swapaxes(np.maximum(suf[..., :n], pre[..., s - 1: n + s - 1]), axis, -1)
 
 
 def factor_gradient_l1max(f: GridFunction, i: int) -> float:
@@ -143,12 +234,3 @@ def factor_gradient_l1max(f: GridFunction, i: int) -> float:
         pad_width[axis] = (0, 1)
         total += np.pad(diff, pad_width)
     return float(total.max())
-
-
-def box_mean_oscillation(values: np.ndarray, box_slices: tuple, p: int, cell_volume: float):
-    """p-mean oscillation of a value array over one box (p in {1, 2})."""
-    sub = values[box_slices]
-    avg = sub.mean()
-    if p == 1:
-        return np.abs(sub - avg).mean()
-    return float(np.sqrt(max(((sub - avg) ** 2).mean(), 0.0)))

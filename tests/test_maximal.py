@@ -1,5 +1,6 @@
 """Strong maximal function, A1 weight series, and the bmo cutoff."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -77,6 +78,33 @@ def test_maximal_matches_naive_bitwise_on_dyadic_data():
         assert np.array_equal(a, b)
 
 
+# sha256 of strong_maximal(random_uniform(grid, seed=k)).values.tobytes(), k the
+# position in this table, recorded from the per-shape kernel this one replaced.
+# The inputs are not dyadic, so the digests pin the summation order, not just
+# the values.
+MAXIMAL_DIGESTS = {
+    ((1,), (8,)): "c43f415c60b3a025f1bd3e2a9f130a30470b2e04679747962f50e6319c417eeb",
+    ((1, 1), (4, 4)): "cfc2c97a3b5e4ea029a26aa22882c94d1a1275e0a88b2d0660bedf2e1ce6cdef",
+    ((1, 1), (2, 2)): "7c9eab19724b87d74b4074b0cb116f200a2a180b410d2a09680acde6f232c0e8",
+    ((2,), (2,)): "6a0212736ef93dd389b7517e080821a66d439a9f1eb5973add8bf45a158dfcf6",
+    ((1, 1, 1), (2, 2, 2)): "4683bd9a72bc63678c40375b6db8fd159ed99b2cff47a4bdc4e207a71499dc4f",
+    ((1,), (6,)): "038e90cd1435f579cf6f705b230738ebf78449ca72dcd0311e58c7f7065270d1",
+    ((1, 2), (3, 1)): "397c23c64f6782b9a5768f4af35aef30fe4db257be42ed53d2865965b8985f50",
+    ((2, 1), (2, 2)): "86f7be38e20d09ce48e98f43ab4f0413670c3a51ec4fdaba2ca7505cbac96019",
+    ((1,), (9,)): "4688222aece3b7ed5611ed09e29c08b7519b47cc53f5f6c85f421abc36071dde",
+    ((1,), (11,)): "81e421eb3cd5d8fd12acd6aecfd087b7a059b05e6033f65e4c84f518ed9d8385",
+    ((1, 1), (5, 5)): "c77e9d7eef84857eac034f64038fe30d5cdde78b931ae2b1f136e9a1569bf626",
+    ((1, 1, 1), (3, 3, 3)): "1be7952c18ded56da65c3ab56432e6d75d4505ec405edda9d241890a9d3731b9",
+}
+
+
+def test_maximal_golden_digests():
+    for k, ((dims, depths), digest) in enumerate(MAXIMAL_DIGESTS.items()):
+        f = generators.random_uniform(ProductGrid(dims, depths), seed=k)
+        values = strong_maximal(f).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest, (dims, depths)
+
+
 def test_a1_weight_full_domain():
     g = ProductGrid((1,), (2,))
     m, diag = a1_weight(OpenSetMask.full(g), TauParams(delta=0.5))
@@ -102,6 +130,18 @@ def test_a1_weight_properties():
     assert np.all(m.values > 0)
     assert np.all(m.values <= 1.0 + 1e-14)
     assert np.all(m.values[E.cells] == 1.0)  # exact on E
+
+
+def test_a1_weight_exact_on_E_long_interval():
+    # the spike-route grid: 512 cells, one factor, so every interval side
+    # goes through the batched last-factor kernel
+    g = ProductGrid((1,), (9,))
+    E = OpenSetMask.from_cell_indices(g, [0, 1, 2, 200, 201, 511])
+    m, diag = a1_weight(E, TauParams(delta=0.5))
+    assert diag["terms_used"] > 2
+    assert np.all(m.values[E.cells] == 1.0)
+    assert np.all(m.values > 0)
+    assert np.all(m.values <= 1.0 + 1e-14)
 
 
 def test_a1_weight_empty_set_rejected():

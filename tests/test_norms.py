@@ -1,5 +1,7 @@
 """Square function, H^1, little bmo, and the packing-norm engines."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +122,35 @@ def test_little_bmo_aligned_p1_matches_brute_force():
     # best p=2 box is the pair (0,1) variance... verify witness validity
     sub = f.values[res2.witness.slices(g)]
     assert np.sqrt(((sub - sub.mean()) ** 2).mean()) == pytest.approx(res2.value, rel=1e-12)
+
+
+# sha256 of repr((value.hex(), witness.starts, witness.sides)) for
+# little_bmo_norm(random_uniform(grid, seed=k), p=2, rect_class="aligned"), k
+# the position in this table, recorded from the per-shape kernel this one
+# replaced: value and witness (first maximum, shape-major then
+# start-lexicographic) must both stay bit for bit.
+LITTLE_BMO_DIGESTS = {
+    ((1,), (8,)): "3181513bfcb1c9631ff2523ddb2fa9a9cbed37eca490d2c3e3cda34730408043",
+    ((1, 1), (4, 4)): "c18101685d15095bd7bb6edc158a6e15bbf0a235435788ae51dea2874e7d98a8",
+    ((1, 1), (2, 2)): "1bbb113fe954280f5295bab8dec6e663494c5c2d27ecff43c03ad2d516fe5119",
+    ((2,), (2,)): "c9819e221486ce5fe98a9af415fda682231a6627ee302053e812446461d57241",
+    ((1, 1, 1), (2, 2, 2)): "e034fefc65930906b9adf1221dd80907ce52b187162c4ee948a863785c930d7f",
+    ((1,), (6,)): "28a40988487e1eac2d5581ef8f5ad0defd6cae04cdac895bec429fc986dea901",
+    ((1, 2), (3, 1)): "5b534058dc35d5e88b3e00d85747f1d6e56f86eae28c38b912ba1452381668e2",
+    ((2, 1), (2, 2)): "615e16cbb441d6d2591e80c6b3ea6c147e338a31249af4953b22c26c35461e14",
+    ((1,), (9,)): "463946549ddc537126e97ee84f5e5b9a32623d34e923a94060ab8ee2906f4728",
+    ((1,), (11,)): "cc758e2700b6a6e79225c37a30d1a08e3af4d95a770ab786ceeafa6d96e53b29",
+    ((1, 1), (5, 5)): "e13b3d1f6cba0f7865fd6807f9026e07a079fd4ed432eea084fbe0e53c542b61",
+    ((1, 1, 1), (3, 3, 3)): "b26c579f2ebc1562200584c5b62e35f0f02699ffb58c7c5cee399ab375e50c75",
+}
+
+
+def test_little_bmo_aligned_p2_golden_digests():
+    for k, ((dims, depths), digest) in enumerate(LITTLE_BMO_DIGESTS.items()):
+        f = generators.random_uniform(ProductGrid(dims, depths), seed=k)
+        res = little_bmo_norm(f, p=2, rect_class="aligned")
+        key = repr((res.value.hex(), res.witness.starts, res.witness.sides))
+        assert hashlib.sha256(key.encode()).hexdigest() == digest, (dims, depths)
 
 
 def test_bmo_d_exact_haar_atom_witness():
