@@ -12,7 +12,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+import tempfile
 import time
 from importlib import resources
 
@@ -371,7 +373,12 @@ def cmd_run(args) -> int:
     except jsonschema.ValidationError as exc:
         print(f"error: spec failed schema validation: {exc.message}", file=sys.stderr)
         return EXIT_USAGE
-    return _dispatch_spec(spec, args)
+    temp_paths = []
+    try:
+        return _dispatch_spec(spec, temp_paths)
+    finally:
+        for path in temp_paths:
+            os.unlink(path)
 
 
 def _spec_input(spec: dict, name: str, grid: ProductGrid | None):
@@ -387,8 +394,11 @@ def _spec_input(spec: dict, name: str, grid: ProductGrid | None):
     ).to_dict()
 
 
-def _dispatch_spec(spec: dict, args) -> int:
-    """Translate a validated spec into the equivalent flag invocation."""
+def _dispatch_spec(spec: dict, temp_paths: list) -> int:
+    """Translate a validated spec into the equivalent flag invocation.
+
+    Inputs go through temporary JSON files, listed in `temp_paths` for the
+    caller to remove once the dispatched command returns."""
     params = spec.get("parameters", {})
     out = spec.get("output", {})
     argv = [spec["command"]]
@@ -396,12 +406,11 @@ def _dispatch_spec(spec: dict, args) -> int:
         argv.append(spec["subcommand"])
     grid = ProductGrid.from_dict(spec["grid"]) if "grid" in spec else None
 
-    def add_input(flag, name):
-        import tempfile
-        data = _spec_input(spec, name, grid)
+    def add_file(flag, data):
         tmp = tempfile.NamedTemporaryFile(
             "w", suffix=".json", delete=False, prefix="dyadichardy-"
         )
+        temp_paths.append(tmp.name)
         json.dump(data, tmp)
         tmp.close()
         argv.extend([flag, tmp.name])
@@ -410,18 +419,12 @@ def _dispatch_spec(spec: dict, args) -> int:
     if command == "generate":
         argv.extend(["--kind", params["kind"], "--grid", json.dumps(spec["grid"])])
     elif command in ("decompose", "norms", "maximal"):
-        add_input("--input", "f")
+        add_file("--input", _spec_input(spec, "f", grid))
     elif command == "tau":
-        add_input("--set", "E")
+        add_file("--set", _spec_input(spec, "E", grid))
     elif command in ("verify", "demo"):
-        import tempfile
-        tmp = tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False, prefix="dyadichardy-"
-        )
-        json.dump({"grid": spec.get("grid"), "parameters": params} if grid
-                  else {"parameters": params}, tmp)
-        tmp.close()
-        argv.extend(["--config", tmp.name])
+        add_file("--config", {"grid": spec.get("grid"), "parameters": params} if grid
+                 else {"parameters": params})
     flag_map = {
         "alpha": "--alpha", "delta": "--delta", "eta": "--eta",
         "epsilon": "--epsilon", "c": "--c", "p": "--p",

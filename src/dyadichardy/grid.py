@@ -129,6 +129,10 @@ class DyadicCube:
         shift = depth - self.level
         return all(c == (p >> shift) for c, p in zip(self.coords, pos))
 
+    def key(self) -> str:
+        """Canonical string form "i:j:(coords)"."""
+        return f"{self.factor}:{self.level}:({','.join(map(str, self.coords))})"
+
 
 @dataclass(frozen=True)
 class DyadicRectangle:
@@ -173,9 +177,7 @@ class DyadicRectangle:
 
     def key(self) -> str:
         """Canonical string form "i:j:(coords)|..."."""
-        return "|".join(
-            f"{q.factor}:{q.level}:({','.join(map(str, q.coords))})" for q in self.cubes
-        )
+        return "|".join(q.key() for q in self.cubes)
 
     @classmethod
     def from_key(cls, key: str) -> "DyadicRectangle":
@@ -339,6 +341,8 @@ class GridFunction:
         vals = np.asarray(data["values"], dtype=np.float64)
         if vals.size != grid.cell_count:
             raise GridError("value array length does not match grid")
+        if not np.isfinite(vals).all():
+            raise GridError("function values must be finite (no NaN or inf)")
         return cls(grid, vals.reshape(grid.shape))
 
 

@@ -11,11 +11,16 @@ the d-fold product produces, besides the pure per-rectangle part, one
 the empty set: the grand average).  Those boundary components are stored
 explicitly so the decomposition reconstructs arbitrary data, not just
 mean-zero data.
+
+One level-tensor engine (`_level_tensors`) yields Delta_R f for all R at
+one level tuple as one array, one value per child of R; decomposition,
+reconstruction, energies and the square function all read it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +28,10 @@ import numpy as np
 from .errors import GridError, ResourceCapError
 from .grid import (
     DEFAULT_RECTANGLE_CAP,
-    DyadicCube,
     DyadicRectangle,
     GridFunction,
     ProductGrid,
+    _factor_cubes,
     eligible_rectangle_count,
 )
 
@@ -54,6 +59,13 @@ def _coarsen_mean(values: np.ndarray, axis: int, newsize: int) -> np.ndarray:
     return v.mean(axis=axis + 1)
 
 
+def _coarsen(values: np.ndarray, axes, size: int) -> np.ndarray:
+    """Block means over each axis in `axes` in turn, shrinking each to `size` cells."""
+    for axis in axes:
+        values = _coarsen_mean(values, axis, size)
+    return values
+
+
 def expectation(f: GridFunction, i: int, level: int) -> GridFunction:
     """Average f over level-`level` cubes of factor i; other factors untouched."""
     grid = f.grid
@@ -68,34 +80,57 @@ def expectation(f: GridFunction, i: int, level: int) -> GridFunction:
     return GridFunction(grid, vals)
 
 
-def _apply_factor_delta(values: np.ndarray, grid: ProductGrid, i: int, level: int) -> np.ndarray:
-    """(E_{level+1} - E_{level}) over factor i, on a raw value array."""
-    w_fine = 2 ** (grid.depths[i] - level - 1)
-    w_coarse = 2 ** (grid.depths[i] - level)
-    fine = values
-    coarse = values
-    for axis in grid.factor_axes(i):
-        fine = _block_average(fine, axis, w_fine)
-        coarse = _block_average(coarse, axis, w_coarse)
-    return fine - coarse
+def _level_tensors(values: np.ndarray, grid: ProductGrid) -> list:
+    """[(levels, child array)] for every Delta-eligible level tuple, canonical order.
+
+    Factor by factor: E_k (k = 0..J_i) is the block mean of that factor's
+    input at 2^k cells per axis, each taken directly from the input, and
+    E_{j+1} - E_j at child resolution (2^{j+1} cells per axis) is the next
+    factor's input.  The summation order per value is the one the same
+    block means take on the full grid, so results do not depend on the
+    resolution the other axes are held at.
+    """
+    stage = [((), values)]
+    for i in range(grid.d):
+        axes = grid.factor_axes(i)
+        nxt = []
+        for levels, vals in stage:
+            means = [_coarsen(vals, axes, 2 ** k) for k in range(grid.depths[i] + 1)]
+            for j in range(grid.depths[i]):
+                coarse = means[j]
+                for axis in axes:
+                    coarse = np.repeat(coarse, 2, axis=axis)
+                nxt.append((levels + (j,), means[j + 1] - coarse))
+        stage = nxt
+    return stage
 
 
 def level_difference(f: GridFunction, levels) -> np.ndarray:
-    """The array of ((E_{j_i+1}-E_{j_i}) tensored over factors) applied to f.
-
-    At a fixed level combination the rectangles tile the domain, so this
-    single array carries Delta_R f for every R at those levels.
-    """
+    """Delta_R f for every R at one level tuple, on the full grid (from the engine)."""
     grid = f.grid
     levels = tuple(levels)
-    if len(levels) != grid.d:
-        raise GridError("one level per factor required")
-    vals = f.values
+    if len(levels) != grid.d or any(not 0 <= j < J for j, J in zip(levels, grid.depths)):
+        raise GridError(f"levels {levels} are not Delta-eligible")
+    return _refine(dict(_level_tensors(f.values, grid))[levels], grid, levels)
+
+
+def _refine(child: np.ndarray, grid: ProductGrid, levels) -> np.ndarray:
+    """Repeat each child-resolution value over its finest cells."""
+    for axis, (i, j) in enumerate(_axis_levels(grid, levels)):
+        child = np.repeat(child, 2 ** (grid.depths[i] - j - 1), axis=axis)
+    return child
+
+
+def _axis_levels(grid: ProductGrid, levels) -> list:
+    """(factor, level) per value-array axis."""
+    out = []
     for i, j in enumerate(levels):
-        if not 0 <= j <= grid.depths[i] - 1:
-            raise GridError(f"level {j} not Delta-eligible for factor {i}")
-        vals = _apply_factor_delta(vals, grid, i, j)
-    return vals
+        out.extend([(i, j)] * grid.factor_dims[i])
+    return out
+
+
+def _child_cell_volume(grid: ProductGrid, levels) -> float:
+    return 2.0 ** (-sum(n * (j + 1) for n, j in zip(grid.factor_dims, levels)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,9 +141,7 @@ class HaarCoefficient:
     block: np.ndarray = field(compare=False)
 
     def child_cell_volume(self, grid: ProductGrid) -> float:
-        return 2.0 ** (
-            -sum(n * (j + 1) for n, j in zip(grid.factor_dims, self.rectangle.levels))
-        )
+        return _child_cell_volume(grid, self.rectangle.levels)
 
     def l2_sq(self, grid: ProductGrid):
         return (self.block * self.block).sum() * self.child_cell_volume(grid)
@@ -116,20 +149,8 @@ class HaarCoefficient:
     def as_function(self, grid: ProductGrid) -> GridFunction:
         """Expand the block back to a full grid function (zero off R)."""
         out = np.zeros(grid.shape, dtype=self.block.dtype)
-        sub = self.block
-        for axis, (i, j) in enumerate(_axis_levels(grid, self.rectangle.levels)):
-            width = 2 ** (grid.depths[i] - j - 1)
-            sub = np.repeat(sub, width, axis=axis)
-        out[self.rectangle.cell_slices(grid)] = sub
+        out[self.rectangle.cell_slices(grid)] = _refine(self.block, grid, self.rectangle.levels)
         return GridFunction(grid, out)
-
-
-def _axis_levels(grid: ProductGrid, levels) -> list:
-    """(factor, level) per value-array axis."""
-    out = []
-    for i, j in enumerate(levels):
-        out.extend([(i, j)] * grid.factor_dims[i])
-    return out
 
 
 def delta_R(f: GridFunction, rect: DyadicRectangle) -> HaarCoefficient:
@@ -153,19 +174,97 @@ def delta_R(f: GridFunction, rect: DyadicRectangle) -> HaarCoefficient:
     return HaarCoefficient(rect, block)
 
 
-@dataclass
+def _locate(grid: ProductGrid, rect) -> tuple | None:
+    """(levels, block coordinates) of a Delta-eligible rectangle of `grid`, else None."""
+    if not isinstance(rect, DyadicRectangle) or len(rect.cubes) != grid.d:
+        return None
+    for q, n, depth in zip(rect.cubes, grid.factor_dims, grid.depths):
+        if len(q.coords) != n or q.level >= depth:
+            return None
+    return rect.levels, tuple(c for q in rect.cubes for c in q.coords)
+
+
+class _PureView(Mapping):
+    """Read-only rectangle -> HaarCoefficient view of the kept coefficients.
+
+    Iterates in canonical order (level tuples, then coordinates); len()
+    counts kept blocks without building rectangles; each `.block` is a
+    writable view into the decomposition's arrays.
+    """
+
+    def __init__(self, dec: "Decomposition"):
+        self._dec = dec
+
+    def __len__(self):
+        return sum(int(k.sum()) for k in self._dec.kept.values())
+
+    def __iter__(self):
+        grid = self._dec.grid
+        for levels, kept in self._dec.kept.items():
+            cubes = itertools.product(*(_factor_cubes(grid, i, (j,)) for i, j in enumerate(levels)))
+            for combo in itertools.compress(cubes, kept.ravel().tolist()):
+                yield DyadicRectangle(combo)
+
+    def __getitem__(self, rect):
+        where = _locate(self._dec.grid, rect)
+        if where is None or not self._dec.kept[where[0]][where[1]]:
+            raise KeyError(rect)
+        return HaarCoefficient(rect, self._dec.coefficients[where[0]][where[1]])
+
+
+@dataclass(eq=False)
 class Decomposition:
-    """Pure per-rectangle coefficients plus finite-depth hybrid components."""
+    """Pure per-rectangle coefficients plus finite-depth hybrid components.
+
+    coefficients[levels] holds Delta_R f for every R at those levels,
+    blocks first: shape (2^j per axis..., 2 per axis...), so
+    `coefficients[levels][coords]` is R's contiguous block.  kept[levels]
+    (shape (2^j per axis...)) marks the coefficients; the others are zero.
+    """
 
     grid: ProductGrid
-    pure: dict
+    coefficients: dict
+    kept: dict
     hybrid: dict  # frozenset of refined factors (proper subsets) -> GridFunction
 
+    @property
+    def pure(self) -> Mapping:
+        return _PureView(self)
+
     def pure_energy(self):
-        return sum(c.l2_sq(self.grid) for c in self.pure.values())
+        """Sum of ||Delta_R f||_2^2, added one block at a time in canonical order."""
+        n = self.grid.n
+        return np.cumsum(np.concatenate([
+            (b * b).sum(axis=tuple(range(n, 2 * n))).ravel() * _child_cell_volume(self.grid, levels)
+            for levels, b in self.coefficients.items()
+        ]))[-1]
 
     def hybrid_energy(self):
         return sum(h.l2_sq() for h in self.hybrid.values())
+
+
+def _blocks_first(child: np.ndarray) -> np.ndarray:
+    """(2^{j+1} per axis) -> contiguous (2^j per axis..., 2 per axis...)."""
+    n = child.ndim
+    split = child.reshape([m for s in child.shape for m in (s // 2, 2)])
+    return np.ascontiguousarray(split.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))))
+
+
+def _hybrids(values: np.ndarray, grid: ProductGrid) -> dict:
+    """Per factor E_0 or I - E_0, keyed by the refined factors (all but the full set)."""
+    stage = [(frozenset(), values)]
+    for i in range(grid.d):
+        axes = grid.factor_axes(i)
+        nxt = []
+        for refined, vals in stage:
+            mean = _coarsen(vals, axes, 1)
+            nxt += [(refined, mean), (refined | {i}, vals - mean)]
+        stage = nxt
+    parts = dict(stage[:-1])
+    return {
+        t: GridFunction(grid, np.broadcast_to(parts[t], grid.shape).copy())
+        for t in sorted(parts, key=lambda t: (len(t), sorted(t)))
+    }
 
 
 def decompose(
@@ -173,93 +272,58 @@ def decompose(
     prune_tol: float = PRUNE_TOL,
     max_rectangles: int = DEFAULT_RECTANGLE_CAP,
 ) -> Decomposition:
-    """Full orthogonal decomposition of f: pure Delta_R part and hybrids."""
+    """Full orthogonal decomposition of f: pure Delta_R part and hybrids.
+
+    Blocks with max |value| <= prune_tol are not kept (object dtype: all kept).
+    """
     grid = f.grid
     if eligible_rectangle_count(grid) > max_rectangles:
         raise ResourceCapError(
             f"decomposition needs {eligible_rectangle_count(grid)} rectangles "
             f"(cap {max_rectangles})"
         )
-    hybrid = {}
-    for r in range(grid.d):
-        for refined in itertools.combinations(range(grid.d), r):
-            refined = frozenset(refined)
-            vals = f.values
-            for i in range(grid.d):
-                width = 2 ** grid.depths[i]
-                avg = vals
-                for axis in grid.factor_axes(i):
-                    avg = _block_average(avg, axis, width)
-                vals = (vals - avg) if i in refined else avg
-            hybrid[refined] = GridFunction(grid, vals)
-
-    pure = {}
-    for levels in itertools.product(*(range(j) for j in grid.depths)):
-        dvals = f.values
-        for i, j in enumerate(levels):
-            dvals = _apply_factor_delta(dvals, grid, i, j)
-        # dvals is constant on child cells; sample one value per child.
-        strides = tuple(
-            slice(None, None, 2 ** (grid.depths[i] - j - 1))
-            for i, j in _axis_levels(grid, levels)
-        )
-        child = dvals[strides]
-        per_axis = [range(2 ** j) for i, j in _axis_levels(grid, levels)]
-        for coords in itertools.product(*per_axis):
-            block = child[tuple(slice(2 * c, 2 * c + 2) for c in coords)]
-            if block.dtype != object and np.abs(block).max() <= prune_tol:
-                continue
-            cubes = []
-            cursor = 0
-            for i in range(grid.d):
-                n_i = grid.factor_dims[i]
-                cubes.append(DyadicCube(i, levels[i], coords[cursor:cursor + n_i]))
-                cursor += n_i
-            rect = DyadicRectangle(tuple(cubes))
-            pure[rect] = HaarCoefficient(rect, np.array(block, copy=True))
-    return Decomposition(grid, pure, hybrid)
+    coefficients, kept = {}, {}
+    for levels, child in _level_tensors(f.values, grid):
+        blocks = coefficients[levels] = _blocks_first(child)
+        if blocks.dtype == object:
+            keep = np.ones(blocks.shape[:grid.n], dtype=bool)
+        else:
+            keep = ~(np.abs(blocks).max(axis=tuple(range(grid.n, 2 * grid.n))) <= prune_tol)
+            blocks[~keep] = 0.0
+        kept[levels] = keep
+    return Decomposition(grid, coefficients, kept, _hybrids(f.values, grid))
 
 
 def reconstruct(dec: Decomposition) -> GridFunction:
     """Sum of all components; inverse of decompose."""
     grid = dec.grid
-    sample = next(iter(dec.pure.values()), None)
-    dtype = object if (
-        (sample is not None and sample.block.dtype == object)
-        or any(h.values.dtype == object for h in dec.hybrid.values())
-    ) else np.float64
-    out = np.zeros(grid.shape, dtype=dtype)
+    arrays = list(dec.coefficients.values()) + [h.values for h in dec.hybrid.values()]
+    out = np.zeros(grid.shape, dtype=object if any(a.dtype == object for a in arrays) else np.float64)
     for h in dec.hybrid.values():
         if h.grid != grid:
             raise GridError("hybrid component grid mismatch")
-        out = out + h.values
-
-    by_levels = {}
-    for rect, coef in dec.pure.items():
-        by_levels.setdefault(rect.levels, []).append(coef)
-    for levels, coefs in by_levels.items():
-        child_shape = tuple(2 ** (j + 1) for i, j in _axis_levels(grid, levels))
-        z = np.zeros(child_shape, dtype=dtype)
-        for coef in coefs:
-            coords = []
-            for q in coef.rectangle.cubes:
-                coords.extend(q.coords)
-            z[tuple(slice(2 * c, 2 * c + 2) for c in coords)] = coef.block
-        for axis, (i, j) in enumerate(_axis_levels(grid, levels)):
-            width = 2 ** (grid.depths[i] - j - 1)
-            if width > 1:
-                z = np.repeat(z, width, axis=axis)
-        out = out + z
+        out += h.values
+    order = [k for a in range(grid.n) for k in (a, grid.n + a)]
+    for levels, blocks in dec.coefficients.items():
+        if dec.kept[levels].any():
+            child = blocks.transpose(order).reshape([2 * s for s in blocks.shape[:grid.n]])
+            out += _refine(child, grid, levels)
     return GridFunction(grid, out)
 
 
 def decomposition_to_dict(dec: Decomposition) -> dict:
+    grid = dec.grid
+    pure = {}
+    for levels, blocks in dec.coefficients.items():
+        kept = dec.kept[levels]
+        keys = itertools.product(
+            *([q.key() for q in _factor_cubes(grid, i, (j,))] for i, j in enumerate(levels))
+        )
+        rows = blocks[kept].reshape(-1, 2 ** grid.n).astype(np.float64).tolist()
+        pure.update(zip(map("|".join, itertools.compress(keys, kept.ravel().tolist())), rows))
     return {
-        "grid": dec.grid.to_dict(),
-        "pure": {
-            rect.key(): [float(v) for v in coef.block.ravel()]
-            for rect, coef in dec.pure.items()
-        },
+        "grid": grid.to_dict(),
+        "pure": pure,
         "hybrid": {
             ",".join(map(str, sorted(t))): [float(v) for v in h.values.ravel()]
             for t, h in dec.hybrid.items()
@@ -269,13 +333,19 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
 
 def decomposition_from_dict(data: dict) -> Decomposition:
     grid = ProductGrid.from_dict(data["grid"])
-    pure = {}
+    coefficients, kept = {}, {}
+    for levels in itertools.product(*(range(j) for j in grid.depths)):
+        shape = tuple(2 ** j for _, j in _axis_levels(grid, levels))
+        coefficients[levels] = np.zeros(shape + (2,) * grid.n)
+        kept[levels] = np.zeros(shape, dtype=bool)
     for key, flat in data["pure"].items():
-        rect = DyadicRectangle.from_key(key)
-        shape = (2,) * grid.n
-        pure[rect] = HaarCoefficient(rect, np.asarray(flat, dtype=np.float64).reshape(shape))
+        where = _locate(grid, DyadicRectangle.from_key(key))
+        if where is None:
+            raise GridError(f"rectangle {key} is not Delta-eligible on this grid")
+        coefficients[where[0]][where[1]] = np.asarray(flat, dtype=np.float64).reshape((2,) * grid.n)
+        kept[where[0]][where[1]] = True
     hybrid = {}
     for key, flat in data["hybrid"].items():
         t = frozenset(int(s) for s in key.split(",")) if key else frozenset()
         hybrid[t] = GridFunction(grid, np.asarray(flat, dtype=np.float64))
-    return Decomposition(grid, pure, hybrid)
+    return Decomposition(grid, coefficients, kept, hybrid)

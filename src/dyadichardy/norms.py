@@ -18,28 +18,30 @@ import numpy as np
 
 from .errors import GridError, ResourceCapError
 from .grid import (
-    DyadicCube,
     DyadicRectangle,
     GridFunction,
     OpenSetMask,
     ProductGrid,
     RectangleFamily,
-    enumerate_rectangles,
+    _factor_cubes,
 )
-from .martingale import _axis_levels, level_difference
+from .martingale import _axis_levels, _level_tensors, _refine
 from .windows import AlignedBox, axis_sides, iter_last_factor_means, iter_shapes, iter_window_sums
 
 EXACT_CAP_ENV = "DH_CAP_CELLS"
 DEFAULT_EXACT_CAP = 22
+# The bit-mask oracle holds a few arrays with one entry per mask (int64 masks,
+# float64 sums and ratios, popcount temporaries); refuse above this many bytes.
+EXACT_BYTES_PER_MASK = 48
+EXACT_MEMORY_CAP = 2 ** 30
 
 
 def square_function(f: GridFunction) -> GridFunction:
     """Sf(x) = (sum over eligible R of |Delta_R f(x)|^2)^{1/2}."""
     grid = f.grid
     acc = np.zeros(grid.shape)
-    for levels in itertools.product(*(range(j) for j in grid.depths)):
-        d = level_difference(f, levels)
-        acc += d * d
+    for levels, child in _level_tensors(f.values, grid):
+        acc += _refine(child * child, grid, levels)
     return GridFunction(grid, np.sqrt(acc))
 
 
@@ -54,26 +56,19 @@ def h1_norm(f: GridFunction, include_mean: bool = False) -> float:
 def rectangle_energies(f: GridFunction) -> dict:
     """||Delta_R f||_2^2 for every eligible R, in canonical order."""
     grid = f.grid
+    cubes = [[_factor_cubes(grid, i, (j,)) for j in range(grid.depths[i])] for i in range(grid.d)]
     out = {}
-    for levels in itertools.product(*(range(j) for j in grid.depths)):
-        d = level_difference(f, levels)
-        sq = d * d
-        # Collapse to one energy per rectangle at this level combination.
+    for levels, child in _level_tensors(f.values, grid):
+        sq = child * child
+        # Sum over each rectangle's finest cells, one axis at a time: a sum
+        # of repeated squares rounds by its term count, as on the full grid.
         for axis, (i, j) in enumerate(_axis_levels(grid, levels)):
             width = 2 ** (grid.depths[i] - j)
             shp = sq.shape
-            nb = shp[axis] // width
-            sq = sq.reshape(shp[:axis] + (nb, width) + shp[axis + 1:]).sum(axis=axis + 1)
-        sq = sq * grid.cell_volume
-        per_axis = [range(2 ** j) for i, j in _axis_levels(grid, levels)]
-        for coords in itertools.product(*per_axis):
-            cubes = []
-            cursor = 0
-            for i in range(grid.d):
-                n_i = grid.factor_dims[i]
-                cubes.append(DyadicCube(i, levels[i], coords[cursor:cursor + n_i]))
-                cursor += n_i
-            out[DyadicRectangle(tuple(cubes))] = float(sq[coords])
+            sq = np.repeat(sq, width // 2, axis=axis)
+            sq = sq.reshape(shp[:axis] + (2 ** j, width) + shp[axis + 1:]).sum(axis=axis + 1)
+        rects = itertools.product(*(cubes[i][j] for i, j in enumerate(levels)))
+        out.update(zip(map(DyadicRectangle, rects), (sq * grid.cell_volume).ravel().tolist()))
     return out
 
 
@@ -111,13 +106,7 @@ class OscResult:
 
 def _dyadic_boxes(grid: ProductGrid):
     """All dyadic rectangles, including finest-level cubes (oscillation 0 there)."""
-    per_factor = []
-    for i in range(grid.d):
-        cubes = []
-        for j in range(grid.depths[i] + 1):
-            for coords in itertools.product(range(2 ** j), repeat=grid.factor_dims[i]):
-                cubes.append(DyadicCube(i, j, coords))
-        per_factor.append(cubes)
+    per_factor = [_factor_cubes(grid, i, range(grid.depths[i] + 1)) for i in range(grid.d)]
     for cubes in itertools.product(*per_factor):
         yield DyadicRectangle(tuple(cubes))
 
@@ -228,6 +217,12 @@ def bmo_d_norm_exact(
         raise ResourceCapError(
             f"{m_cells} cells exceed the exact-oracle cap of {cap}; "
             "use bmo_d_norm_search"
+        )
+    if 2 ** m_cells * EXACT_BYTES_PER_MASK > EXACT_MEMORY_CAP:
+        raise ResourceCapError(
+            f"the exact oracle on {m_cells} cells needs 2^{m_cells} masks of about "
+            f"{EXACT_BYTES_PER_MASK} bytes each, over its {EXACT_MEMORY_CAP >> 20} MiB "
+            "limit; use bmo_d_norm_search"
         )
     _, energies, cells = _rect_data(f, alpha)
     masks = np.arange(1, 2 ** m_cells, dtype=np.int64)

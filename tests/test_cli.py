@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -155,3 +156,46 @@ def test_csv_format(atom_path):
 def test_missing_input_file():
     res = run_cli(["norms", "h1", "--input", "/nonexistent/f.json"])
     assert res.returncode == 1
+
+
+def test_run_spec_leaves_no_temp_files(tmp_path, monkeypatch, capsys):
+    from dyadichardy import cli
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "schema": "experiment-v1",
+        "command": "norms",
+        "subcommand": "h1",
+        "grid": {"factor_dims": [1], "depths": [2]},
+        "inputs": {"f": {"kind": "haar-atom"}},
+    }))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert cli.main(["run", "--spec", str(spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.0)
+    assert not list(tmp_path.glob("dyadichardy-*.json"))
+
+
+@pytest.mark.parametrize("bad, quantity", [
+    ("NaN", ["h1"]),
+    ("Infinity", ["bmo-little", "--p", "2"]),
+])
+def test_non_finite_input_exit_1(tmp_path, bad, quantity):
+    path = tmp_path / "f.json"
+    path.write_text(
+        '{"grid": {"factor_dims": [1], "depths": [2]}, "values": [0.0, %s, 1.0, 2.0]}' % bad)
+    res = run_cli(["norms", *quantity, "--input", str(path)])
+    assert res.returncode == 1
+    assert "finite" in res.stderr
+    assert res.stdout == ""
+
+
+def test_bmo_dyadic_exact_memory_cap_exit_3(tmp_path):
+    # A 32-cell grid passes a raised cell cap, but its 2^32-mask table would
+    # need tens of GiB: the oracle refuses before allocating.
+    f = tmp_path / "f32.json"
+    assert run_cli(["generate", "--kind", "random-uniform",
+                    "--grid", '{"factor_dims":[1],"depths":[5]}',
+                    "--output", str(f)]).returncode == 0
+    res = run_cli(["norms", "bmo-dyadic", "--input", str(f), "--exact",
+                   "--cap-cells", "64"])
+    assert res.returncode == 3
+    assert "masks" in res.stderr

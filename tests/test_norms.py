@@ -260,3 +260,88 @@ def test_h1_homogeneity_property(seed, scale):
     g = ProductGrid((1,), (3,))
     f = random_function(g, seed)
     assert h1_norm(f * scale) == pytest.approx(scale * h1_norm(f), rel=1e-9)
+
+
+# sha256 of square_function(f).values bytes and of the ordered
+# repr([(rect.key(), float.hex(e)), ...]) of rectangle_energies(f), recorded
+# from the full-grid loops the level-tensor engine replaced.  The input for a
+# grid key is random_uniform(grid, seed=k), k the position in this table;
+# "piecewise" is constant on cubes two levels above the finest cells.
+SQUARE_FUNCTION_DIGESTS = {
+    ((1,), (5,)): (
+        "6181c3737d47e7a205cbec72f2c2448fc08a0adec9e8ba96906bd228222288ab",
+        "c988ad37583a6c429d5280d955698a5e1d84467ca2c7dc42783fabc14d3538a5",
+    ),
+    ((1,), (12,)): (
+        "a0b89f54771b3f0958166a7dcceb208989f19c48ebb224e92249f767ae1a3d37",
+        "d3d02cf106bc790be114f1d38fa41c5c4d88ac969393d99e1bbb2236bc556050",
+    ),
+    ((2,), (4,)): (
+        "8b7800becd8161e9ab08e0087d64b2abfb69826f078ff648a9fd90e72013f9aa",
+        "0742904d2a234c32cd52560187e0f388521056cb1199567979739f022e05e148",
+    ),
+    ((1, 1), (5, 5)): (
+        "f336ab8c4213f4abdbb1af18b11936267c2a0789ca9bf40ff9d3dab69e1c3bce",
+        "9b6b4e83cc9586845dc12429f32df42800efe045233931239b2fb8284be322bf",
+    ),
+    ((1, 2), (3, 2)): (
+        "58d89a9b463e0c002dd5c584a94be5112a094741fd303f82cecc3243d1531e4b",
+        "7e21fe37b010cd93fea942b7d5f570289964ea6bc2e679de6ba796ca0f7091e9",
+    ),
+    ((2, 1), (3, 3)): (
+        "bd05d1900b8df0c552372e9f0d5beca0d4df91eff6286a0ac551c9424a2db0be",
+        "7525ea5bc5bacf11767adccaab73374d7812e8ea7852781e2b206fb9b7a8e3d0",
+    ),
+    ((1, 1, 1), (3, 3, 3)): (
+        "1b13beb008127b428268fbc944d7cdbc7dbb1941c62f50f7cd4b4432c5988295",
+        "f2d1e576786d1ebc364a88b68ec34909bfecb6f35da1b020546d05d33de2dcd0",
+    ),
+    ((1, 1, 1), (2, 2, 2)): (
+        "fcf4cab32bff547aff4e4fd7545861872a1011ee21bcf29208c9483bd6df47a0",
+        "80a5c85539137b2bfea97997ed09e38dac52b814a0a0064b334ae8e9099dd39f",
+    ),
+    ((1, 1), (2, 2)): (
+        "f98e6a2467f136f844ca1654c182f1cb64e75c60823fcb11f02e3fca0efda1b1",
+        "455164484b9f3e898ecd2b2c373846c5e940c060d3d8fbb06f31302e89cbf860",
+    ),
+    ((1, 1, 1), (4, 4, 4)): (
+        "9d84fa36696e7ac83f7fd36beb41e3ccba1c32d313efdc855fec62bb626ad611",
+        "c314479a01ae5a52be7c972f7882f954d5effefb74efc758f649f24e00761e68",
+    ),
+    ((1,), (9,)): (
+        "36f43c4cd524b9c1eba8c806d325af7a0ec8845108a97d0a2212935a4bdf3c32",
+        "fc4ae621571b92f14462a27ea1f8e8022c7724e1727557df31821627daad19cb",
+    ),
+    ((3,), (2,)): (
+        "8fb90f9f5bc513bc5d8f43a5d8254db342ab27add1a3c5853234eacac1752687",
+        "d09e90afa4df97156316b8548a21f6cd1251d45c76c53184a0eb0f50d807520d",
+    ),
+    "piecewise": (
+        "9ea995db74844848e80ab5171235208897c7cae9c43631d72144d77b9693f24d",
+        "4c27f15220dff5eb0953cbb22273b5692c28149d37d232bb10fc4e9c848ea745",
+    ),
+}
+
+
+def test_square_function_and_energies_golden_digests():
+    for k, (key, digests) in enumerate(SQUARE_FUNCTION_DIGESTS.items()):
+        if key == "piecewise":
+            grid = ProductGrid((1, 2), (4, 3))
+            coarse = np.random.default_rng(7).uniform(-1.0, 1.0, [s // 4 for s in grid.shape])
+            f = GridFunction(grid, np.kron(coarse, np.ones((4,) * coarse.ndim)))
+        else:
+            f = generators.random_uniform(ProductGrid(*key), seed=k)
+        energies = [(r.key(), float.hex(e)) for r, e in rectangle_energies(f).items()]
+        got = (
+            hashlib.sha256(square_function(f).values.tobytes()).hexdigest(),
+            hashlib.sha256(repr(energies).encode()).hexdigest(),
+        )
+        assert got == digests, key
+
+
+def test_bmo_d_exact_refuses_oversized_mask_table():
+    # 32 cells would need 2^32 masks (tens of GiB); a raised cell cap does not
+    # lift the memory limit.
+    f = generators.random_uniform(ProductGrid((1,), (5,)), seed=0)
+    with pytest.raises(ResourceCapError, match="masks"):
+        bmo_d_norm_exact(f, cap_cells=64)
