@@ -33,6 +33,7 @@ from .martingale import (
 from .norms import (
     OscResult,
     PackingResult,
+    bmo_d_norm_cut,
     bmo_d_norm_exact,
     bmo_d_norm_search,
     exact_cell_cap,
@@ -76,9 +77,9 @@ __all__ = [
     "Decomposition", "HaarCoefficient", "decompose",
     "decomposition_from_dict", "decomposition_to_dict", "delta_R",
     "expectation", "reconstruct",
-    "OscResult", "PackingResult", "bmo_d_norm_exact", "bmo_d_norm_search",
-    "exact_cell_cap", "h1_norm", "little_bmo_norm", "packing_energy",
-    "rectangle_energies", "shifted_packing", "square_function",
+    "OscResult", "PackingResult", "bmo_d_norm_cut", "bmo_d_norm_exact",
+    "bmo_d_norm_search", "exact_cell_cap", "h1_norm", "little_bmo_norm",
+    "packing_energy", "rectangle_energies", "shifted_packing", "square_function",
     "TauParams", "TauReport", "a1_weight", "check_a1", "iterate_maximal",
     "strong_maximal", "strong_maximal_naive", "tau_build",
     "InequalityReport", "SplitResult", "TheoremRunConfig", "check_abs_bmo",

@@ -33,8 +33,8 @@ from .grid import (
 from .martingale import decompose, decomposition_to_dict, reconstruct
 from .maximal import TauParams, check_a1, iterate_maximal, tau_build
 from .norms import (
+    bmo_d_norm_cut,
     bmo_d_norm_exact,
-    bmo_d_norm_search,
     h1_norm,
     little_bmo_norm,
     shifted_packing,
@@ -194,12 +194,13 @@ def cmd_norms(args) -> int:
         return EXIT_OK
     # bmo-dyadic
     if args.shift is not None:
-        res = shifted_packing(f, args.shift, restarts=args.restarts, seed=args.seed)
+        if args.exact:
+            raise GridError("--shift runs the min-cut engine; drop --exact")
+        res = shifted_packing(f, args.shift, alpha=args.cap)
     elif args.exact:
         res = bmo_d_norm_exact(f, cap_cells=args.cap_cells, alpha=args.cap)
     else:
-        res = bmo_d_norm_search(f, restarts=args.restarts, seed=args.seed,
-                                alpha=args.cap)
+        res = bmo_d_norm_cut(f, alpha=args.cap)
     _emit({"value": res.value, "witness": res.witness, "mode": res.mode,
            "diagnostics": res.diagnostics}, args)
     return EXIT_OK
@@ -431,7 +432,7 @@ def _dispatch_spec(spec: dict, temp_paths: list) -> int:
         "restarts": "--restarts", "cap_cells": "--cap-cells",
         "cap": "--cap", "trials": "--trials", "seed": "--seed",
         "iter": "--iter", "tol": "--tol", "kmax": "--kmax",
-        "threads": "--threads",
+        "rect_class": "--rect-class",
     }
     skip = {"kind", "generator", "horizon"}
     if command in ("verify", "demo"):
@@ -439,8 +440,9 @@ def _dispatch_spec(spec: dict, temp_paths: list) -> int:
     for key, flag in flag_map.items():
         if key in params and key not in skip:
             argv.extend([flag, str(params[key])])
-    if params.get("exact"):
-        argv.append("--exact")
+    for key in ("exact", "include_mean"):
+        if params.get(key):
+            argv.append("--" + key.replace("_", "-"))
     if "shift" in params:
         argv.extend(["--shift", ",".join(str(s) for s in params["shift"])])
     if "path" in out:
@@ -456,8 +458,6 @@ def _add_common(p):
     p.add_argument("--output", help="also write the report to this path")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (accepted for compatibility; work is single-process)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,14 +483,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("quantity", choices=["sf", "h1", "bmo-little", "bmo-dyadic"])
     p.add_argument("--input", required=True)
     p.add_argument("--exact", action="store_true",
-                   help="bit-mask oracle for bmo-dyadic (cell-capped)")
-    p.add_argument("--search", action="store_true",
-                   help="seeded local search for bmo-dyadic (default)")
-    p.add_argument("--restarts", type=int, default=12)
+                   help="bmo-dyadic by the bit-mask oracle (cell-capped; "
+                        "default: the exact min-cut engine)")
+    p.add_argument("--restarts", type=int, default=12,
+                   help="accepted for compatibility and unused, like --seed here: "
+                        "bmo-dyadic has no random engine")
     p.add_argument("--cap", type=float, help="rectangle size cap alpha")
-    p.add_argument("--cap-cells", type=int, help="exact-oracle cell cap override")
+    p.add_argument("--cap-cells", type=int,
+                   help="exact-oracle cell cap override (applies only with --exact)")
     p.add_argument("--shift", type=lambda s: [int(x) for x in s.split(",")],
-                   help="comma-separated whole-cell lattice shift per axis")
+                   help="comma-separated whole-cell lattice shift per axis "
+                        "(min-cut engine only)")
     p.add_argument("--p", type=int, choices=[1, 2], default=2)
     p.add_argument("--rect-class", choices=["dyadic", "aligned"], default="aligned")
     p.add_argument("--include-mean", action="store_true")

@@ -1,10 +1,12 @@
 """Square function, dyadic H^1, little bmo, and the product-BMO packing constant.
 
 The packing norm is a supremum of set functions over all unions of
-finest cells.  Two engines are provided: an exact bit-mask enumeration
-(feasible up to a configured cell cap, default 22) and a seeded greedy
-local search whose reported value is always the exactly recomputed ratio
-of its witness, hence a certified lower bound.
+finest cells.  Three engines are provided: the exact min-cut engine
+(Dinkelbach iteration over maximum-weight closures on the dyadic box
+graph, with exact integer capacities; the default), an exact bit-mask
+enumeration (feasible up to a configured cell cap, default 22; the test
+oracle), and a seeded greedy local search.  Each reports the recomputed
+ratio of its witness; the search's is a certified lower bound.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ DEFAULT_EXACT_CAP = 22
 # float64 sums and ratios, popcount temporaries); refuse above this many bytes.
 EXACT_BYTES_PER_MASK = 48
 EXACT_MEMORY_CAP = 2 ** 30
+# The cut engine refuses grids with more dyadic boxes than this.  Its graph,
+# flow and recomputed witness ratio grew the peak RSS by 0.9-1.3 KB per box
+# (16k to 131k boxes, Python 3.11, 64-bit), so the cap holds it near 250 MB.
+CUT_BOX_CAP = 200_000
 
 
 def square_function(f: GridFunction) -> GridFunction:
@@ -53,11 +59,14 @@ def h1_norm(f: GridFunction, include_mean: bool = False) -> float:
     return value
 
 
-def rectangle_energies(f: GridFunction) -> dict:
-    """||Delta_R f||_2^2 for every eligible R, in canonical order."""
+def _energy_blocks(f: GridFunction) -> list:
+    """[(levels, ||Delta_R f||_2^2 for every R at those levels)], canonical order.
+
+    Each array has one axis per grid axis, 2^j entries along a factor at
+    level j, so its C-order ravel lists the rectangles in canonical order.
+    """
     grid = f.grid
-    cubes = [[_factor_cubes(grid, i, (j,)) for j in range(grid.depths[i])] for i in range(grid.d)]
-    out = {}
+    out = []
     for levels, child in _level_tensors(f.values, grid):
         sq = child * child
         # Sum over each rectangle's finest cells, one axis at a time: a sum
@@ -67,8 +76,18 @@ def rectangle_energies(f: GridFunction) -> dict:
             shp = sq.shape
             sq = np.repeat(sq, width // 2, axis=axis)
             sq = sq.reshape(shp[:axis] + (2 ** j, width) + shp[axis + 1:]).sum(axis=axis + 1)
+        out.append((levels, sq * grid.cell_volume))
+    return out
+
+
+def rectangle_energies(f: GridFunction) -> dict:
+    """||Delta_R f||_2^2 for every eligible R, in canonical order."""
+    grid = f.grid
+    cubes = [[_factor_cubes(grid, i, (j,)) for j in range(grid.depths[i])] for i in range(grid.d)]
+    out = {}
+    for levels, energy in _energy_blocks(f):
         rects = itertools.product(*(cubes[i][j] for i, j in enumerate(levels)))
-        out.update(zip(map(DyadicRectangle, rects), (sq * grid.cell_volume).ravel().tolist()))
+        out.update(zip(map(DyadicRectangle, rects), energy.ravel().tolist()))
     return out
 
 
@@ -358,10 +377,217 @@ def bmo_d_norm_search(
     )
 
 
-def shifted_packing(
-    f: GridFunction, shift, restarts: int = 12, seed: int = 0
-) -> PackingResult:
-    """BMO_d search value w.r.t. the lattice translated cyclically by whole cells."""
+def _box_count(grid: ProductGrid) -> int:
+    """Dyadic boxes at every per-factor level 0..J_i, finest cells included."""
+    return math.prod(sum(2 ** (n * j) for j in range(depth + 1))
+                     for n, depth in zip(grid.factor_dims, grid.depths))
+
+
+def _split_children(a: np.ndarray, grid: ProductGrid, i: int) -> np.ndarray:
+    """View a box array one level finer in factor i as (boxes..., children):
+    each factor-i axis splits into (coarse coordinate, child bit), bits last."""
+    first, n = grid.factor_axes(i).start, grid.factor_dims[i]
+    shape = a.shape[:first] + sum(((s // 2, 2) for s in a.shape[first:first + n]), ())
+    a = a.reshape(shape + a.shape[first + n:])
+    return np.moveaxis(a, [first + 2 * k + 1 for k in range(n)], range(-n, 0))
+
+
+def _box_graph(grid: ProductGrid):
+    """Box ids per level tuple, and the edges box -> child along the first
+    non-finest factor of the box."""
+    ids, start = {}, 0
+    for levels in itertools.product(*(range(depth + 1) for depth in grid.depths)):
+        shape = tuple(2 ** j for n, j in zip(grid.factor_dims, levels) for _ in range(n))
+        ids[levels] = np.arange(start, start + math.prod(shape)).reshape(shape)
+        start += ids[levels].size
+    parents, children = [], []
+    for levels, box in ids.items():
+        coarse = [i for i, (j, depth) in enumerate(zip(levels, grid.depths)) if j < depth]
+        if coarse:
+            i = coarse[0]
+            kids = _split_children(ids[levels[:i] + (levels[i] + 1,) + levels[i + 1:]], grid, i)
+            parents.append(np.repeat(box.ravel(), 2 ** grid.factor_dims[i]))
+            children.append(kids.ravel())
+    return ids, np.concatenate(parents), np.concatenate(children)
+
+
+def _edge_lists(tails: np.ndarray, edges: np.ndarray, n: int) -> list:
+    """Per node u in 0..n-1, the list of `edges` whose tail is u, in order."""
+    order = edges[np.argsort(tails, kind="stable")].tolist()
+    bounds = np.cumsum(np.bincount(tails, minlength=n)).tolist()
+    return [order[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
+
+
+def _max_flow(adj: list, to: list, cap: list, s: int, t: int) -> None:
+    """Dinic's blocking flows from s to t, in place on `cap` (edge e's
+    reverse is e ^ 1), until no augmenting path is left."""
+    n = len(adj)
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[t] < 0:
+            return
+        ptr = [0] * n
+        path = []
+        u = s
+        while True:
+            if u == t:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                del path[next(k for k, e in enumerate(path) if not cap[e]):]
+                u = to[path[-1]] if path else s
+                continue
+            edges, k, below = adj[u], ptr[u], level[u] + 1
+            while k < len(edges) and not (cap[edges[k]] and level[to[edges[k]]] == below):
+                k += 1
+            ptr[u] = k
+            if k < len(edges):
+                path.append(edges[k])
+                u = to[edges[k]]
+                continue
+            level[u] = -1  # a dead end for the rest of this phase
+            if not path:
+                break
+            u = to[path.pop() ^ 1]
+            ptr[u] += 1
+
+
+def _drains(adj: list, to: list, cap: list, t: int) -> list:
+    """Per node, whether it reaches the sink t in the residual graph."""
+    drains = [False] * len(adj)
+    drains[t] = True
+    queue = [t]
+    for v in queue:
+        for e in adj[v]:
+            if cap[e ^ 1] and not drains[to[e]]:
+                drains[to[e]] = True
+                queue.append(to[e])
+    return drains
+
+
+def _best_box(grid: ProductGrid, ids: dict, blocks: list, shift: dict) -> np.ndarray:
+    """Which boxes lie in the dyadic box B of largest float ratio
+    sum_{R in B} e_R / |B|.  The closure sums add the energy blocks at every
+    finer level tuple, taken as suffix sums one factor at a time."""
+    closure = {levels: np.zeros(box.shape) for levels, box in ids.items()}
+    closure.update(blocks)
+    for i, depth in enumerate(grid.depths):
+        n = grid.factor_dims[i]
+        for levels in sorted(closure, key=lambda lv: -lv[i]):
+            if levels[i] < depth:
+                finer = closure[levels[:i] + (levels[i] + 1,) + levels[i + 1:]]
+                closure[levels] = closure[levels] + _split_children(finer, grid, i).sum(
+                    axis=tuple(range(-n, 0)))
+    best = max(closure, key=lambda lv: float(closure[lv].max()) * 2.0 ** shift[lv])
+    corner = np.unravel_index(int(np.argmax(closure[best])), closure[best].shape)
+    inside = np.zeros(sum(box.size for box in ids.values()), dtype=bool)
+    for levels, box in ids.items():
+        if all(r >= j for r, j in zip(levels, best)):
+            steps = [r - j for n, r, j in zip(grid.factor_dims, levels, best) for _ in range(n)]
+            inside[box[tuple(slice(c << w, (c + 1) << w) for c, w in zip(corner, steps))]] = True
+    return inside
+
+
+def bmo_d_norm_cut(f: GridFunction, alpha: float | None = None) -> PackingResult:
+    """Exact packing norm by Dinkelbach iteration over s-t minimum cuts.
+
+    For lambda = N/k, max over Omega of k sum_{R in Omega} e_R - N |Omega|
+    is a maximum-weight closure, hence one minimum cut (Picard), on the
+    dyadic box graph: the source feeds each rectangle with e_R > 0 (and
+    |R| <= alpha), every box that is not a cell implies its children along
+    its first non-finest factor, and each cell drains N to the sink.  The
+    energies are integers over one common denominator (a power of two for
+    float data), so every capacity is an exact Python int.  Iteration
+    starts at the dyadic box of largest closure ratio and stops at the
+    first cut with no positive closure, where lambda is the norm
+    (Goldberg).  The witness is the largest optimal mask, the cells that
+    cannot reach the sink in the final residual graph, and `value` is its
+    recomputed packing ratio.
+    """
+    grid = f.grid
+    if alpha is not None and alpha <= 0:
+        raise GridError("size cap must be positive")
+    n_boxes = _box_count(grid)
+    if n_boxes > CUT_BOX_CAP:
+        raise ResourceCapError(
+            f"{n_boxes} dyadic boxes exceed the cut engine's cap of {CUT_BOX_CAP}; "
+            "bmo_d_norm_search gives a lower bound there"
+        )
+    ids, parents, children = _box_graph(grid)
+    # |B| = 2^-shift[levels] for a box B at those levels.
+    shift = {lv: sum(n * j for n, j in zip(grid.factor_dims, lv)) for lv in ids}
+    blocks = [(lv, energy) for lv, energy in _energy_blocks(f)
+              if alpha is None or 2.0 ** -shift[lv] <= alpha]
+    rects = np.concatenate([np.zeros(0, dtype=int)] + [ids[lv][e > 0] for lv, e in blocks])
+    # Each energy is num / den exactly (den a power of two for floats); the
+    # gains are the energies times one common denominator.
+    ratios = [e.as_integer_ratio() for e in
+              np.concatenate([np.zeros(0)] + [e[e > 0] for _, e in blocks]).tolist()]
+    denominator = math.lcm(*(den for _, den in ratios))
+    gains = [num * (denominator // den) for num, den in ratios]
+
+    # Dinkelbach starts from lambda = N/k, the exact ratio of the best box.
+    inside = _best_box(grid, ids, blocks, shift)
+    N = sum(g for g, c in zip(gains, inside[rects].tolist()) if c)
+    k = int(inside[ids[tuple(grid.depths)]].sum())
+
+    # Boxes are nodes 0..n_boxes-1, then the source s and the sink t.  Edge
+    # 2m runs tail -> head and 2m + 1 is its reverse: first cell -> t, then
+    # box -> child, then s -> rectangle.
+    s, t = n_boxes, n_boxes + 1
+    cells = ids[tuple(grid.depths)].ravel()
+    tails = np.concatenate([cells, parents, np.full(len(rects), s)])
+    heads = np.concatenate([np.full(cells.size, t), children, rects]).astype(tails.dtype)
+    ends = np.stack([tails, heads], axis=1).ravel()
+    adj = _edge_lists(ends, np.arange(ends.size), t + 1)
+    to = np.stack([heads, tails], axis=1).ravel().tolist()
+    feed = 2 * (cells.size + parents.size)
+    cells = cells.tolist()
+    rects = rects.tolist()
+    cuts = 0
+    while True:
+        cuts += 1
+        cap = [0] * len(to)
+        cap[0:2 * len(cells):2] = [N] * len(cells)
+        cap[2 * len(cells):feed:2] = [k * sum(gains) + 1] * parents.size
+        cap[feed::2] = [k * g for g in gains]
+        _max_flow(adj, to, cap, s, t)
+        drains = _drains(adj, to, cap, t)
+        # The nodes that cannot reach the sink form the largest optimal
+        # closure Omega.  Unsaturated source edges leave it a positive value
+        # k N(Omega) - N |Omega|; then its ratio is the next lambda = N/k.
+        if not any(cap[feed::2]):
+            break
+        N = sum(g for g, v in zip(gains, rects) if not drains[v])
+        k = sum(not drains[v] for v in cells)
+
+    witness = OpenSetMask(grid, np.array([not drains[v] for v in cells]).reshape(grid.shape))
+    # N / k is a ratio per cell in gain units, num / den per unit measure.
+    # Int division rounds correctly; round up where it rounded down.
+    num, den = N << shift[tuple(grid.depths)], k * denominator
+    bound = num / den
+    top, bottom = bound.as_integer_ratio()
+    if top * den < num * bottom:
+        bound = math.nextafter(bound, math.inf)
+    return PackingResult(
+        value=packing_energy(f, witness, alpha=alpha) / witness.measure,
+        witness=witness,
+        mode="cut",
+        diagnostics={"cuts": cuts, "boxes": n_boxes, "rectangles": len(rects),
+                     "upper_bound": bound},
+    )
+
+
+def shifted_packing(f: GridFunction, shift, alpha: float | None = None) -> PackingResult:
+    """The exact packing norm w.r.t. the lattice translated cyclically by whole cells."""
     grid = f.grid
     shift = list(shift)
     if len(shift) != len(grid.shape):
@@ -369,9 +595,9 @@ def shifted_packing(
     if any(s != int(s) for s in shift):
         raise GridError("shifts must be whole finest cells")
     shift = [int(s) for s in shift]
-    rolled = GridFunction(grid, np.roll(f.values, tuple(-s for s in shift), axis=tuple(range(len(shift)))))
-    res = bmo_d_norm_search(rolled, restarts=restarts, seed=seed)
-    back = np.roll(res.witness.cells, tuple(shift), axis=tuple(range(len(shift))))
-    diag = dict(res.diagnostics)
-    diag["shift"] = shift
-    return PackingResult(res.value, OpenSetMask(grid, back), "search", diag)
+    axes = tuple(range(len(shift)))
+    rolled = GridFunction(grid, np.roll(f.values, tuple(-s for s in shift), axis=axes))
+    res = bmo_d_norm_cut(rolled, alpha=alpha)
+    back = np.roll(res.witness.cells, tuple(shift), axis=axes)
+    return PackingResult(res.value, OpenSetMask(grid, back), res.mode,
+                         dict(res.diagnostics, shift=shift))

@@ -199,3 +199,117 @@ def test_bmo_dyadic_exact_memory_cap_exit_3(tmp_path):
                    "--cap-cells", "64"])
     assert res.returncode == 3
     assert "masks" in res.stderr
+
+
+def _main_stdout(capsys, argv):
+    from dyadichardy import cli
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+def _write_function(tmp_path, dims, depths, seed, name="f.json"):
+    from dyadichardy import ProductGrid, generators
+    path = tmp_path / name
+    f = generators.random_uniform(ProductGrid(dims, depths), seed=seed)
+    path.write_text(json.dumps(f.to_dict()))
+    return str(path)
+
+
+def test_bmo_dyadic_default_is_exact_cut(tmp_path, capsys):
+    path = _write_function(tmp_path, (1, 1), (4, 4), 16)
+    code, out = _main_stdout(capsys, ["norms", "bmo-dyadic", "--input", path,
+                                      "--restarts", "4", "--seed", "0"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["mode"] == "cut"
+    assert report["value"] == pytest.approx(0.419856, abs=5e-7)
+    assert set(report["diagnostics"]) == {"cuts", "boxes", "rectangles", "upper_bound"}
+    assert report["value"] <= report["diagnostics"]["upper_bound"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--shift", "1,0"]])
+def test_bmo_dyadic_restarts_and_seed_are_unused(tmp_path, capsys, flags):
+    path = _write_function(tmp_path, (1, 1), (3, 3), 2)
+    base = ["norms", "bmo-dyadic", "--input", path, *flags]
+    code, plain = _main_stdout(capsys, base)
+    assert code == 0
+    code, seeded = _main_stdout(capsys, base + ["--restarts", "2", "--seed", "7"])
+    assert code == 0
+    assert seeded == plain
+
+
+def test_bmo_dyadic_shift_with_exact_exit_1(tmp_path, capsys):
+    path = _write_function(tmp_path, (1, 1), (2, 2), 0)
+    code, out = _main_stdout(capsys, ["norms", "bmo-dyadic", "--input", path,
+                                      "--shift", "1,1", "--exact"])
+    assert code == 1
+    assert out == ""
+
+
+def test_bmo_dyadic_shift_honours_cap(tmp_path, capsys):
+    path = _write_function(tmp_path, (1, 1), (2, 2), 0)
+    base = ["norms", "bmo-dyadic", "--input", path, "--cap", "0.25"]
+    code, plain = _main_stdout(capsys, base)
+    assert code == 0
+    code, shifted = _main_stdout(capsys, base + ["--shift", "0,0"])
+    assert code == 0
+    plain, shifted = json.loads(plain), json.loads(shifted)
+    assert shifted["value"] == plain["value"]
+    assert shifted["diagnostics"]["rectangles"] == plain["diagnostics"]["rectangles"]
+    code, uncapped = _main_stdout(capsys, base[:-2] + ["--shift", "0,0"])
+    assert code == 0
+    assert json.loads(uncapped)["diagnostics"]["rectangles"] > plain["diagnostics"]["rectangles"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--shift", ",".join(["1"] * 12)]])
+def test_bmo_dyadic_cut_box_cap_exit_3(tmp_path, capsys, flags):
+    # 4096 cells on twelve one-axis factors: 3^12 dyadic boxes, over the cap.
+    # The min-cut engine is the only one behind the default and --shift.
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"grid": {"factor_dims": [1] * 12, "depths": [1] * 12},
+                                "values": [0.0] * 4096}))
+    code, out = _main_stdout(capsys, ["norms", "bmo-dyadic", "--input", str(path), *flags])
+    assert code == 3
+    assert out == ""
+
+
+@pytest.mark.parametrize("parameters, flags", [
+    ({"p": 1, "rect_class": "dyadic"}, ["bmo-little", "--p", "1", "--rect-class", "dyadic"]),
+    ({"p": 2, "rect_class": "aligned"}, ["bmo-little", "--p", "2", "--rect-class", "aligned"]),
+    ({"include_mean": True}, ["h1", "--include-mean"]),
+    ({"include_mean": False}, ["h1"]),
+])
+def test_run_spec_matches_flag_invocation(tmp_path, capsys, parameters, flags):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"grid": {"factor_dims": [1, 1], "depths": [2, 2]},
+                                "values": [float(v % 5) for v in range(16)]}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "schema": "experiment-v1", "command": "norms", "subcommand": flags[0],
+        "inputs": {"f": {"path": str(path)}}, "parameters": parameters}))
+    code, from_spec = _main_stdout(capsys, ["run", "--spec", str(spec)])
+    assert code == 0
+    code, from_flags = _main_stdout(capsys, ["norms", *flags, "--input", str(path)])
+    assert code == 0
+    assert from_spec == from_flags
+
+
+def test_run_spec_threads_rejected(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "schema": "experiment-v1", "command": "norms", "subcommand": "h1",
+        "grid": {"factor_dims": [1], "depths": [2]},
+        "inputs": {"f": {"kind": "haar-atom"}}, "parameters": {"threads": 2}}))
+    code, out = _main_stdout(capsys, ["run", "--spec", str(spec)])
+    assert code == 1
+    assert out == ""
+
+
+def test_cli_import_loads_no_scipy_or_networkx():
+    # Both are installed on some hosts but undeclared; importing scipy's
+    # csgraph alone roughly doubles the CLI's import time and peak RSS.
+    code = ("import sys, dyadichardy.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'}))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

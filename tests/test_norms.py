@@ -13,6 +13,7 @@ from dyadichardy import (
     OpenSetMask,
     ProductGrid,
     ResourceCapError,
+    bmo_d_norm_cut,
     bmo_d_norm_exact,
     bmo_d_norm_search,
     enumerate_rectangles,
@@ -209,8 +210,8 @@ def test_bmo_d_witness_local_optimality():
 def test_shifted_packing_zero_shift():
     g = ProductGrid((1,), (3,))
     f = generators.haar_atom(g, normalize=None)
-    base = bmo_d_norm_search(f, restarts=4, seed=0)
-    shifted = shifted_packing(f, [0], restarts=4, seed=0)
+    base = bmo_d_norm_cut(f)
+    shifted = shifted_packing(f, [0])
     assert shifted.value == base.value
 
 
@@ -224,9 +225,94 @@ def test_shifted_packing_constant_zero():
 def test_shifted_packing_sweep_finite():
     g = ProductGrid((1,), (3,))
     f = generators.haar_atom(g, normalize=None)
-    table = {s: shifted_packing(f, [s], restarts=2, seed=0).value for s in range(8)}
+    table = {s: shifted_packing(f, [s]).value for s in range(8)}
     assert all(np.isfinite(v) for v in table.values())
     assert max(table.values()) > 0
+
+
+def test_shifted_packing_honours_cap():
+    # All the energy of the coarsest atom sits on a rectangle of measure 1.
+    f = generators.haar_atom(ProductGrid((1, 1), (2, 2)), normalize=None)
+    capped = shifted_packing(f, [1, 2], alpha=0.25)
+    assert capped.value == 0.0
+    assert shifted_packing(f, [0, 0], alpha=0.25).value == bmo_d_norm_cut(f, alpha=0.25).value
+    assert shifted_packing(f, [0, 0]).value > 0
+    assert capped.diagnostics["shift"] == [1, 2]
+
+
+CUT_ORACLE_GRIDS = [((1,), (3,)), ((1,), (4,)), ((1, 1), (1, 2)), ((1, 1), (2, 2)),
+                    ((1, 2), (2, 1)), ((2,), (2,)), ((1, 1, 1), (1, 1, 1))]
+
+
+@pytest.mark.parametrize("alpha", [None, 0.25])
+@pytest.mark.parametrize("dims, depths", CUT_ORACLE_GRIDS)
+def test_bmo_d_cut_matches_exact_oracle(dims, depths, alpha):
+    # 7 grids x 15 seeds x 2 caps = 210 instances of at most 16 cells.
+    grid = ProductGrid(dims, depths)
+    for seed in range(15):
+        f = generators.random_uniform(grid, seed=seed)
+        exact = bmo_d_norm_exact(f, alpha=alpha)
+        cut = bmo_d_norm_cut(f, alpha=alpha)
+        assert abs(cut.value - exact.value) <= 1e-12 * exact.value, seed
+        assert np.all(cut.witness.cells >= exact.witness.cells), seed
+        assert cut.mode == "cut"
+        assert cut.value <= cut.diagnostics["upper_bound"] * (1 + 1e-12)
+
+
+def test_bmo_d_cut_fixes_search_underreport():
+    # The local search stops 4.3 % low here; the cut is exact.
+    f = generators.random_uniform(ProductGrid((1, 1), (4, 4)), seed=16)
+    cut = bmo_d_norm_cut(f)
+    assert cut.value == pytest.approx(0.419856, abs=5e-7)
+    assert cut.value == packing_energy(f, cut.witness) / cut.witness.measure
+    assert cut.value == pytest.approx(cut.diagnostics["upper_bound"], rel=1e-12)
+    assert cut.diagnostics["cuts"] >= 1
+    assert bmo_d_norm_search(f, restarts=4, seed=0).value == pytest.approx(0.401697, abs=5e-7)
+
+
+def test_bmo_d_cut_upper_bound_is_smallest_float_above_optimum():
+    from fractions import Fraction
+    for seed in range(6):
+        f = generators.random_uniform(ProductGrid((1, 1), (2, 2)), seed=seed)
+        cut = bmo_d_norm_cut(f)
+        inside = [Fraction(e) for r, e in rectangle_energies(f).items()
+                  if cut.witness.contains_rectangle(r)]
+        exact = sum(inside) / Fraction(cut.witness.measure)
+        bound = cut.diagnostics["upper_bound"]
+        assert Fraction(bound) >= exact > Fraction(np.nextafter(bound, -np.inf))
+
+
+def test_bmo_d_cut_witness_is_largest_optimal_mask():
+    # Two equal atoms on disjoint dyadic intervals: each support, and their
+    # union, attains the norm.  The oracle keeps the smallest; the cut the union.
+    g = ProductGrid((1,), (3,))
+    f = GridFunction(g, np.array([1.0, -1.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0]))
+    cut = bmo_d_norm_cut(f)
+    assert sorted(cut.witness.cell_indices().tolist()) == [0, 1, 4, 5]
+    assert sorted(bmo_d_norm_exact(f).witness.cell_indices().tolist()) == [0, 1]
+    # Brute force: the witness is the union of every mask attaining the norm.
+    union = np.zeros(g.cell_count, dtype=bool)
+    for bits in range(1, 2 ** g.cell_count):
+        idx = [c for c in range(g.cell_count) if bits >> c & 1]
+        mask = OpenSetMask.from_cell_indices(g, idx)
+        if packing_energy(f, mask) / mask.measure == cut.value:
+            union[idx] = True
+    assert np.array_equal(union, cut.witness.cells.ravel())
+
+
+def test_bmo_d_cut_of_constant_is_zero():
+    g = ProductGrid((1, 1), (2, 2))
+    res = bmo_d_norm_cut(GridFunction.constant(g, 7.0))
+    assert res.value == 0.0
+    assert res.diagnostics["upper_bound"] == 0.0
+    assert res.witness == OpenSetMask.full(g)
+
+
+def test_bmo_d_cut_refuses_too_many_boxes():
+    # Twelve one-axis factors of depth 1: 4096 cells but 3^12 dyadic boxes.
+    g = ProductGrid((1,) * 12, (1,) * 12)
+    with pytest.raises(ResourceCapError, match="boxes"):
+        bmo_d_norm_cut(GridFunction.constant(g, 0.0))
 
 
 def test_norm_homogeneity():
