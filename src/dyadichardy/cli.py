@@ -332,7 +332,7 @@ def _theorem_config(config) -> TheoremRunConfig:
     return TheoremRunConfig(grid=grid, **kwargs)
 
 
-def _run_theorem(config, trials, seed):
+def _run_theorem(config):
     run_config = _theorem_config(config)
     report = verify_mod.theorem_demo(run_config)
     final = report["records"][-1]
@@ -346,7 +346,10 @@ def _run_theorem(config, trials, seed):
 def cmd_verify(args) -> int:
     config = _load_json_file(args.config) if args.config else {}
     if args.check == "theorem":
-        records, ok, full = _run_theorem(config, args.trials, args.seed)
+        if args.trials is not None:
+            raise GridError("the theorem demo runs once and takes no --trials "
+                            "(spec key parameters.trials)")
+        records, ok, full = _run_theorem(config)
         summary = {k: v for k, v in full.items() if k != "records"}
         summary["passed"] = ok
         _emit_lines(records, summary, args)
@@ -357,8 +360,9 @@ def cmd_verify(args) -> int:
         "lemma-b": _run_lemma_b,
         "abs-bmo": _run_abs_bmo,
     }[args.check]
-    reports, ok = runner(config, args.trials, args.seed)
-    summary = {"check": args.check, "trials": args.trials, "seed": args.seed,
+    trials = 20 if args.trials is None else args.trials
+    reports, ok = runner(config, trials, args.seed)
+    summary = {"check": args.check, "trials": trials, "seed": args.seed,
                "passed": ok}
     _emit_lines(reports, summary, args)
     return EXIT_OK if ok else EXIT_FAIL
@@ -527,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.set_defaults(check="theorem")
         p.add_argument("--config", help="run configuration JSON")
-        p.add_argument("--trials", type=int, default=20)
+        p.add_argument("--trials", type=int)
         _add_common(p)
         p.set_defaults(func=cmd_verify)
 

@@ -38,31 +38,13 @@ from .grid import (
 PRUNE_TOL = 1e-14
 
 
-def _block_average(values: np.ndarray, axis: int, width: int) -> np.ndarray:
-    """Average over contiguous blocks of `width` along `axis`, broadcast back."""
-    if width == 1:
-        return values
-    shp = values.shape
-    nb = shp[axis] // width
-    v = values.reshape(shp[:axis] + (nb, width) + shp[axis + 1:])
-    m = v.mean(axis=axis + 1)
-    return np.repeat(m, width, axis=axis)
-
-
-def _coarsen_mean(values: np.ndarray, axis: int, newsize: int) -> np.ndarray:
-    """Average over blocks along `axis`, shrinking the axis to `newsize`."""
-    shp = values.shape
-    width = shp[axis] // newsize
-    if width == 1:
-        return values
-    v = values.reshape(shp[:axis] + (newsize, width) + shp[axis + 1:])
-    return v.mean(axis=axis + 1)
-
-
 def _coarsen(values: np.ndarray, axes, size: int) -> np.ndarray:
     """Block means over each axis in `axes` in turn, shrinking each to `size` cells."""
     for axis in axes:
-        values = _coarsen_mean(values, axis, size)
+        shp = values.shape
+        if shp[axis] > size:
+            values = values.reshape(shp[:axis] + (size, shp[axis] // size) + shp[axis + 1:])
+            values = values.mean(axis=axis + 1)
     return values
 
 
@@ -76,7 +58,7 @@ def expectation(f: GridFunction, i: int, level: int) -> GridFunction:
     width = 2 ** (grid.depths[i] - level)
     vals = f.values
     for axis in grid.factor_axes(i):
-        vals = _block_average(vals, axis, width)
+        vals = np.repeat(_coarsen(vals, [axis], 2 ** level), width, axis=axis)
     return GridFunction(grid, vals)
 
 
@@ -163,8 +145,7 @@ def delta_R(f: GridFunction, rect: DyadicRectangle) -> HaarCoefficient:
             raise GridError("rectangle has a finest-level cube; Delta is undefined")
     block = f.values[rect.cell_slices(grid)]
     # Average down to the immediate children (2 per axis).
-    for axis in range(block.ndim):
-        block = _coarsen_mean(block, axis, 2)
+    block = _coarsen(block, range(block.ndim), 2)
     # Per factor, remove the within-factor child mean: E_{level} o Delta = 0.
     axis_cursor = 0
     for i in range(grid.d):
@@ -184,32 +165,45 @@ def _locate(grid: ProductGrid, rect) -> tuple | None:
     return rect.levels, tuple(c for q in rect.cubes for c in q.coords)
 
 
-class _PureView(Mapping):
-    """Read-only rectangle -> HaarCoefficient view of the kept coefficients.
+class _LevelView(Mapping):
+    """Read-only rectangle -> value view over arrays kept per level tuple.
 
+    kept[levels] (shape (2^j per axis...)) marks the rectangles in the view.
     Iterates in canonical order (level tuples, then coordinates); len()
-    counts kept blocks without building rectangles; each `.block` is a
-    writable view into the decomposition's arrays.
+    builds no rectangle; iteration and lookups build them on demand, and
+    `_value(rect, levels, coords)` gives a rectangle's value.
     """
 
-    def __init__(self, dec: "Decomposition"):
-        self._dec = dec
+    def __init__(self, grid: ProductGrid, kept: dict):
+        self._grid = grid
+        self._kept = kept
 
     def __len__(self):
-        return sum(int(k.sum()) for k in self._dec.kept.values())
+        return sum(int(k.sum()) for k in self._kept.values())
 
     def __iter__(self):
-        grid = self._dec.grid
-        for levels, kept in self._dec.kept.items():
-            cubes = itertools.product(*(_factor_cubes(grid, i, (j,)) for i, j in enumerate(levels)))
-            for combo in itertools.compress(cubes, kept.ravel().tolist()):
-                yield DyadicRectangle(combo)
+        for levels, keep in self._kept.items():
+            cubes = [_factor_cubes(self._grid, i, (j,)) for i, j in enumerate(levels)]
+            combos = itertools.compress(itertools.product(*cubes), keep.ravel().tolist())
+            yield from map(DyadicRectangle, combos)
 
     def __getitem__(self, rect):
-        where = _locate(self._dec.grid, rect)
-        if where is None or not self._dec.kept[where[0]][where[1]]:
+        where = _locate(self._grid, rect)
+        if where is None or not self._kept[where[0]][where[1]]:
             raise KeyError(rect)
-        return HaarCoefficient(rect, self._dec.coefficients[where[0]][where[1]])
+        return self._value(rect, *where)
+
+
+class _PureView(_LevelView):
+    """The kept coefficients as HaarCoefficients; each `.block` is a writable
+    view into the decomposition's arrays."""
+
+    def __init__(self, dec: "Decomposition"):
+        super().__init__(dec.grid, dec.kept)
+        self._coefficients = dec.coefficients
+
+    def _value(self, rect, levels, coords):
+        return HaarCoefficient(rect, self._coefficients[levels][coords])
 
 
 @dataclass(eq=False)
@@ -243,11 +237,12 @@ class Decomposition:
         return sum(h.l2_sq() for h in self.hybrid.values())
 
 
-def _blocks_first(child: np.ndarray) -> np.ndarray:
-    """(2^{j+1} per axis) -> contiguous (2^j per axis..., 2 per axis...)."""
-    n = child.ndim
-    split = child.reshape([m for s in child.shape for m in (s // 2, 2)])
-    return np.ascontiguousarray(split.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))))
+def _blocks(a: np.ndarray, sides) -> np.ndarray:
+    """View `a` as (sides..., block entries...): axis k splits into sides[k]
+    contiguous blocks, and the block axes come last, in axis order."""
+    n = a.ndim
+    split = a.reshape([m for s, b in zip(a.shape, sides) for m in (b, s // b)])
+    return split.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
 
 
 def _hybrids(values: np.ndarray, grid: ProductGrid) -> dict:
@@ -284,7 +279,7 @@ def decompose(
         )
     coefficients, kept = {}, {}
     for levels, child in _level_tensors(f.values, grid):
-        blocks = coefficients[levels] = _blocks_first(child)
+        blocks = coefficients[levels] = _blocks(child, [s // 2 for s in child.shape]).copy()
         if blocks.dtype == object:
             keep = np.ones(blocks.shape[:grid.n], dtype=bool)
         else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +25,9 @@ from .grid import (
     GridFunction,
     OpenSetMask,
     ProductGrid,
-    RectangleFamily,
     _factor_cubes,
 )
-from .martingale import _axis_levels, _level_tensors, _refine
+from .martingale import _LevelView, _axis_levels, _blocks, _level_tensors, _refine
 from .windows import AlignedBox, axis_sides, iter_last_factor_means, iter_shapes, iter_window_sums
 
 EXACT_CAP_ENV = "DH_CAP_CELLS"
@@ -80,37 +80,46 @@ def _energy_blocks(f: GridFunction) -> list:
     return out
 
 
-def rectangle_energies(f: GridFunction) -> dict:
-    """||Delta_R f||_2^2 for every eligible R, in canonical order."""
-    grid = f.grid
-    cubes = [[_factor_cubes(grid, i, (j,)) for j in range(grid.depths[i])] for i in range(grid.d)]
-    out = {}
-    for levels, energy in _energy_blocks(f):
-        rects = itertools.product(*(cubes[i][j] for i, j in enumerate(levels)))
-        out.update(zip(map(DyadicRectangle, rects), energy.ravel().tolist()))
-    return out
+def _measure(grid: ProductGrid, levels) -> float:
+    """|R| of a rectangle at one level tuple."""
+    return 2.0 ** -sum(n * j for n, j in zip(grid.factor_dims, levels))
 
 
-def packing_energy(
-    f: GridFunction,
-    mask: OpenSetMask,
-    alpha: float | None = None,
-    family: RectangleFamily | None = None,
-) -> float:
-    """Sum of ||Delta_R f||_2^2 over R inside the mask with |R| <= alpha."""
+class _EnergyView(_LevelView):
+    """||Delta_R f||_2^2 of every eligible R, one array per level tuple;
+    values() lists them in canonical order without building rectangles."""
+
+    def __init__(self, grid: ProductGrid, blocks: list):
+        self._energies = dict(blocks)
+        super().__init__(grid, {lv: np.ones(e.shape, dtype=bool) for lv, e in blocks})
+
+    def _value(self, rect, levels, coords):
+        return self._energies[levels].item(coords)
+
+    def values(self) -> list:
+        return np.concatenate([e.ravel() for e in self._energies.values()]).tolist()
+
+
+def rectangle_energies(f: GridFunction) -> Mapping:
+    """||Delta_R f||_2^2 for every eligible R, a read-only view in canonical order."""
+    return _EnergyView(f.grid, _energy_blocks(f))
+
+
+def packing_energy(f: GridFunction, mask: OpenSetMask, alpha: float | None = None) -> float:
+    """Sum of ||Delta_R f||_2^2 over R inside the mask with |R| <= alpha,
+    added left to right in canonical order."""
     if mask.grid != f.grid:
         raise GridError("mask grid does not match function grid")
     if alpha is not None and alpha <= 0:
         raise GridError("size cap must be positive")
-    energies = rectangle_energies(f)
-    rects = family.members if family is not None else energies.keys()
-    total = 0.0
-    for rect in rects:
-        if alpha is not None and rect.measure > alpha:
-            continue
-        if mask.contains_rectangle(rect):
-            total += energies[rect]
-    return total
+    grid = f.grid
+    picked = [np.zeros(1)]
+    for levels, energy in _energy_blocks(f):
+        if alpha is None or _measure(grid, levels) <= alpha:
+            # R lies in the mask when every one of its cells does.
+            inside = _blocks(mask.cells, energy.shape).all(axis=tuple(range(grid.n, 2 * grid.n)))
+            picked.append(energy[inside])
+    return float(np.cumsum(np.concatenate(picked))[-1])
 
 
 @dataclass
@@ -145,19 +154,12 @@ def little_bmo_norm(f: GridFunction, p: int = 2, rect_class: str = "aligned") ->
     best = -1.0
     witness = None
     if rect_class == "dyadic":
-        if p == 2:
-            for rect in _dyadic_boxes(grid):
-                sub = vals[rect.cell_slices(grid)]
-                osc2 = float(((sub - sub.mean()) ** 2).mean())
-                if osc2 > best:
-                    best, witness = osc2, rect
-            return OscResult(math.sqrt(max(best, 0.0)), witness, p, rect_class)
         for rect in _dyadic_boxes(grid):
             sub = vals[rect.cell_slices(grid)]
-            osc = float(np.abs(sub - sub.mean()).mean())
+            osc = float(((sub - sub.mean()) ** 2 if p == 2 else np.abs(sub - sub.mean())).mean())
             if osc > best:
                 best, witness = osc, rect
-        return OscResult(best, witness, p, rect_class)
+        return OscResult(math.sqrt(max(best, 0.0)) if p == 2 else best, witness, p, rect_class)
 
     if p == 2:
         # Runs of last-factor sides, side axis first, so the first argmax in
@@ -206,12 +208,18 @@ def _popcount(x: np.ndarray) -> np.ndarray:
 
 
 def _rect_data(f: GridFunction, alpha: float | None = None):
-    """(rectangles, energies, flat cell-index arrays) in canonical order,
-    optionally restricted to |R| <= alpha."""
-    energies = rectangle_energies(f)
-    rects = [r for r in energies if alpha is None or r.measure <= alpha]
-    cells = [r.cell_indices(f.grid) for r in rects]
-    return rects, np.array([energies[r] for r in rects]), cells
+    """(measures, energies, sorted flat cell indices) of every rectangle in
+    canonical order, optionally restricted to |R| <= alpha."""
+    grid = f.grid
+    flat = np.arange(grid.cell_count).reshape(grid.shape)
+    measures, energies, cells = [np.zeros(0)], [np.zeros(0)], []
+    for levels, energy in _energy_blocks(f):
+        measure = _measure(grid, levels)
+        if alpha is None or measure <= alpha:
+            measures.append(np.full(energy.size, measure))
+            energies.append(energy.ravel())
+            cells.extend(_blocks(flat, energy.shape).reshape(energy.size, -1))
+    return np.concatenate(measures), np.concatenate(energies), cells
 
 
 def exact_cell_cap() -> int:
@@ -247,9 +255,7 @@ def bmo_d_norm_exact(
     masks = np.arange(1, 2 ** m_cells, dtype=np.int64)
     acc = np.zeros(masks.shape)
     for e, cell_idx in zip(energies, cells):
-        rmask = 0
-        for c in cell_idx:
-            rmask |= 1 << int(c)
+        rmask = int((1 << cell_idx).sum())
         acc[(masks & rmask) == rmask] += e
     sizes = _popcount(masks)
     ratios = acc / (sizes * grid.cell_volume)
@@ -272,21 +278,18 @@ class _PackingSearch:
 
     def __init__(self, f: GridFunction, alpha: float | None = None):
         self.grid = f.grid
-        self.rects, self.energies, self.cells = _rect_data(f, alpha)
+        self.measures, self.energies, self.cells = _rect_data(f, alpha)
         self.m = self.grid.cell_count
         self.cell_volume = self.grid.cell_volume
         # Flattened incidence: one (cell, rect) entry per cell of each rectangle.
-        self.inc_cells = np.concatenate(self.cells) if self.cells else np.zeros(0, dtype=int)
-        self.inc_rects = np.concatenate(
-            [np.full(len(idx), r) for r, idx in enumerate(self.cells)]
-        ) if self.cells else np.zeros(0, dtype=int)
-        self.inc_energy = self.energies[self.inc_rects] if len(self.energies) else np.zeros(0)
+        self.inc_cells = np.concatenate([np.zeros(0, dtype=int)] + self.cells)
+        self.inc_rects = np.repeat(np.arange(len(self.cells)), [idx.size for idx in self.cells])
+        self.inc_energy = self.energies[self.inc_rects]
 
     def density(self) -> np.ndarray:
         """Per-cell energy density sum_{R ni x} ||Delta_R f||^2 / |R|."""
         dens = np.zeros(self.m)
-        measures = np.array([r.measure for r in self.rects])
-        np.add.at(dens, self.inc_cells, self.inc_energy / measures[self.inc_rects])
+        np.add.at(dens, self.inc_cells, self.inc_energy / self.measures[self.inc_rects])
         return dens
 
     def local_search(self, flat: np.ndarray):
@@ -294,7 +297,7 @@ class _PackingSearch:
         flat = flat.copy()
         if not flat.any():
             flat[0] = True
-        missing = np.array([int((~flat[idx]).sum()) for idx in self.cells], dtype=int)
+        missing = np.bincount(self.inc_rects[~flat[self.inc_cells]], minlength=len(self.energies))
         while True:
             num = float(self.energies[missing == 0].sum()) if len(self.energies) else 0.0
             size = int(flat.sum())
@@ -344,9 +347,7 @@ def bmo_d_norm_search(
     thresholds = np.unique(dens[dens > 0])[::-1][:64]
     for t in thresholds:
         seeds.append(dens >= t)
-    order = np.argsort(
-        -search.energies / np.array([r.measure for r in search.rects])
-    )[:64]
+    order = np.argsort(-search.energies / search.measures)[:64]
     for r in order:
         if search.energies[r] > 0:
             flat = np.zeros(search.m, dtype=bool)

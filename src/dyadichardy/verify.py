@@ -23,14 +23,14 @@ from .grid import (
     RectangleFamily,
     slice_family,
 )
-from .martingale import delta_R
+from .martingale import _blocks, delta_R
 from .maximal import TauParams, tau_build
 from .norms import (
+    _energy_blocks,
     bmo_d_norm_search,
     h1_norm,
     little_bmo_norm,
     packing_energy,
-    rectangle_energies,
 )
 from .windows import factor_gradient_l1max, iter_shapes, axis_sides
 
@@ -204,30 +204,27 @@ def check_lemma_b_base(
     if grid.d != 1:
         raise GridError("the base-case check is one-parameter only")
     product = phi * b
-    energies = rectangle_energies(product)
+    energies = [e for _, e in _energy_blocks(product)]
     bmo_b = little_bmo_norm(b, p=2, rect_class="aligned").value
     vals = product.values
     worst = None
     identity_gap = 0.0
     n1 = grid.factor_dims[0]
     for j in range(grid.depths[0] + 1):
-        for coords in itertools.product(range(2 ** j), repeat=n1):
-            measure = 2.0 ** (-n1 * j)
-            if measure > alpha:
-                continue
-            width = 2 ** (grid.depths[0] - j)
+        measure = 2.0 ** (-n1 * j)
+        if measure > alpha:
+            continue
+        # Per level-j cube, the energies of the rectangles inside it (levels
+        # j and finer), in canonical order, then summed left to right.
+        cubes = 2 ** (n1 * j)
+        inside = [_blocks(e, (2 ** j,) * n1).reshape(cubes, -1) for e in energies[j:]]
+        packed = np.cumsum(np.hstack([np.zeros((cubes, 1))] + inside), axis=1)[:, -1]
+        width = 2 ** (grid.depths[0] - j)
+        for coords, packed_q in zip(itertools.product(range(2 ** j), repeat=n1), packed.tolist()):
             sl = tuple(slice(c * width, (c + 1) * width) for c in coords)
             sub = vals[sl]
             osc = float(((sub - sub.mean()) ** 2).sum()) * grid.cell_volume
-            packed = sum(
-                e for r, e in energies.items()
-                if all(
-                    c * width <= rc * 2 ** (grid.depths[0] - r.cubes[0].level)
-                    and (rc + 1) * 2 ** (grid.depths[0] - r.cubes[0].level) <= (c + 1) * width
-                    for c, rc in zip(coords, r.cubes[0].coords)
-                )
-            )
-            identity_gap = max(identity_gap, abs(packed - osc))
+            identity_gap = max(identity_gap, abs(packed_q - osc))
             bound = 2.0 * (bmo_b ** 2 + alpha ** (2.0 / n1)) * measure
             if worst is None or osc - bound > worst[0] - worst[1]:
                 worst = (osc, bound, j, coords)

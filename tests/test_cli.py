@@ -305,6 +305,36 @@ def test_run_spec_threads_rejected(tmp_path, capsys):
     assert out == ""
 
 
+THEOREM_CONFIG = {"grid": {"factor_dims": [1, 1], "depths": [2, 2]}, "parameters": {"horizon": 1}}
+
+
+@pytest.mark.parametrize("command", [["verify", "theorem"], ["demo"]])
+def test_theorem_trials_flag_exit_1(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(THEOREM_CONFIG))
+    from dyadichardy import cli
+    assert cli.main([*command, "--config", str(config), "--trials", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--trials" in err
+    code, out = _main_stdout(capsys, [*command, "--config", str(config)])
+    assert code in (0, 2)
+    assert len(out.splitlines()) == 3  # two records and the summary
+
+
+def test_run_spec_theorem_trials_exit_1(tmp_path, capsys):
+    spec = dict(THEOREM_CONFIG, schema="experiment-v1", command="verify", subcommand="theorem")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(spec, parameters={"horizon": 1, "trials": 3})))
+    code, out = _main_stdout(capsys, ["run", "--spec", str(path)])
+    assert code == 1
+    assert out == ""
+    path.write_text(json.dumps(spec))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(THEOREM_CONFIG))
+    code, from_spec = _main_stdout(capsys, ["run", "--spec", str(path)])
+    assert (code, from_spec) == _main_stdout(capsys, ["verify", "theorem", "--config", str(config)])
+
+
 def test_cli_import_loads_no_scipy_or_networkx():
     # Both are installed on some hosts but undeclared; importing scipy's
     # csgraph alone roughly doubles the CLI's import time and peak RSS.

@@ -1,6 +1,8 @@
 """Square function, H^1, little bmo, and the packing-norm engines."""
 
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -73,20 +75,65 @@ def test_rectangle_energies_match_delta():
     g = ProductGrid((1, 1), (2, 2))
     f = random_function(g, 3)
     energies = rectangle_energies(f)
+    assert len(energies) == len(set(energies)) == len(enumerate_rectangles(g))
     assert set(energies) == set(enumerate_rectangles(g).members)
+    assert list(energies.values()) == [energies[r] for r in energies]
     for rect, e in energies.items():
         assert e == pytest.approx(delta_R(f, rect).l2_sq(g), abs=1e-13)
+    finest = DyadicRectangle((DyadicCube(0, 2, (0,)), DyadicCube(1, 0, (0,))))
+    assert finest not in energies
+    with pytest.raises(TypeError):
+        energies[rect] = 0.0
+
+
+def packing_energy_oracle(f, mask, alpha=None):
+    """Per-rectangle containment and size tests, added in canonical order."""
+    total = 0.0
+    for rect, e in rectangle_energies(f).items():
+        if alpha is not None and rect.measure > alpha:
+            continue
+        if mask.contains_rectangle(rect):
+            total += e
+    return total
 
 
 def test_packing_energy_alpha_filter():
-    g = ProductGrid((1,), (3,))
-    f = random_function(g, 4)
-    full = OpenSetMask.full(g)
-    total = packing_energy(f, full)
-    capped = packing_energy(f, full, alpha=0.5)
-    by_hand = sum(e for r, e in rectangle_energies(f).items() if r.measure <= 0.5)
-    assert capped == pytest.approx(by_hand, rel=1e-12)
-    assert capped <= total + 1e-15
+    # Bit-equal to the per-rectangle oracle on d = 1, 2, 3 grids.
+    rng = np.random.default_rng(4)
+    grids = [((1,), (3,)), ((1,), (6,)), ((2,), (3,)), ((1, 1), (3, 2)),
+             ((1, 2), (2, 1)), ((1, 1, 1), (2, 1, 2))]
+    for g, _ in itertools.product((ProductGrid(*key) for key in grids), range(5)):
+        f = random_function(g, int(rng.integers(2 ** 31)))
+        full = OpenSetMask.full(g)
+        total = packing_energy(f, full)
+        capped = packing_energy(f, full, alpha=0.5)
+        by_hand = sum(e for r, e in rectangle_energies(f).items() if r.measure <= 0.5)
+        assert capped == pytest.approx(by_hand, rel=1e-12)
+        assert capped <= total + 1e-15
+        for density in (0.3, 0.7, 0.95, 1.0):
+            mask = OpenSetMask(g, rng.random(g.shape) < density)
+            for alpha in (None, 1 / 2, 1 / 4, 1 / 64):
+                assert packing_energy(f, mask, alpha) == packing_energy_oracle(f, mask, alpha)
+
+
+def test_energy_tables_build_no_rectangles(monkeypatch):
+    built = []
+    post_init = DyadicRectangle.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DyadicRectangle, "__post_init__", counting)
+    f = random_function(ProductGrid((1, 1), (3, 4)), 0)
+    mask = OpenSetMask(f.grid, np.random.default_rng(0).random(f.grid.shape) < 0.8)
+    assert len(rectangle_energies(f)) == 7 * 15
+    assert math.fsum(rectangle_energies(f).values()) > 0.0
+    assert packing_energy(f, mask, 1 / 4) > 0.0
+    bmo_d_norm_exact(random_function(ProductGrid((1, 1), (2, 2)), 1))
+    assert built == []
+    next(iter(rectangle_energies(f)))
+    assert len(built) == 1
 
 
 def test_little_bmo_pinned_example():

@@ -1,6 +1,8 @@
 """Inequality certification: slice bound, pigeonhole split, product bound,
 max-of-bmo facts, and the convergence pipeline."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -163,6 +165,29 @@ def test_lemma_b_base_case_identity():
         rep = check_lemma_b_base(phi, b, 0.5)
         assert rep.passed
         assert rep.witness["identity_gap"] <= 1e-10
+
+
+# sha256 of repr([json.dumps(report, sort_keys=True), ...]) of the lemma-b-base
+# reports for b seeds 0..2 and alpha 1, 1/4, recorded from the per-cube scan
+# over every rectangle energy that the block sums replaced.
+LEMMA_B_BASE_DIGESTS = {
+    ((1,), (4,)): "192707b16328e5fdaac71e1b713b08486d16480d488c28492de0b8d7353039b6",
+    ((2,), (3,)): "3c87616df85c15533d84a46d787d80b73383128971d3e0c06558ae9c62adfc1a",
+}
+
+
+def test_lemma_b_base_golden_digests():
+    for key, digest in LEMMA_B_BASE_DIGESTS.items():
+        g = ProductGrid(*key)
+        phi = generators.smooth_bump(g)
+        reports = []
+        for seed in range(3):
+            b_vals = np.random.default_rng(seed).uniform(-1, 1, g.shape)
+            b = GridFunction(g, b_vals / np.abs(b_vals).max())
+            for alpha in (1.0, 0.25):
+                rep = check_lemma_b_base(phi, b, alpha).to_dict()
+                reports.append(json.dumps(rep, sort_keys=True))
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest, key
 
 
 def test_abs_bmo_nonnegative_f():
