@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -158,7 +159,7 @@ def _emit_lines(trial_reports, summary, args) -> None:
 def cmd_generate(args) -> int:
     grid = _parse_grid(args.grid)
     params = json.loads(args.params) if args.params else {}
-    obj = generators.generate(args.kind, grid, params, seed=args.seed)
+    obj = generators.generate(args.kind, grid, params, seed=args.seed or 0)
     _emit(obj.to_dict(), args)
     return EXIT_OK
 
@@ -322,18 +323,18 @@ def _run_abs_bmo(config, trials, seed):
     return reports, all(r["passed"] for r in reports)
 
 
-def _theorem_config(config) -> TheoremRunConfig:
+def _theorem_config(config, seed=None) -> TheoremRunConfig:
     grid = _config_grid(config, ProductGrid((1, 1), (5, 5)))
     params = config.get("parameters", {})
-    kwargs = {}
-    for name in ("epsilon", "eta", "alpha", "delta", "generator", "horizon", "seed"):
-        if name in params:
-            kwargs[name] = params[name]
+    kwargs = {name: params[name] for name in
+              ("epsilon", "eta", "alpha", "delta", "generator", "horizon", "seed") if name in params}
+    if seed is not None:
+        kwargs["seed"] = seed
     return TheoremRunConfig(grid=grid, **kwargs)
 
 
-def _run_theorem(config):
-    run_config = _theorem_config(config)
+def _run_theorem(config, seed):
+    run_config = _theorem_config(config, seed)
     report = verify_mod.theorem_demo(run_config)
     final = report["records"][-1]
     if run_config.generator == "h1-bounded":
@@ -349,7 +350,7 @@ def cmd_verify(args) -> int:
         if args.trials is not None:
             raise GridError("the theorem demo runs once and takes no --trials "
                             "(spec key parameters.trials)")
-        records, ok, full = _run_theorem(config)
+        records, ok, full = _run_theorem(config, args.seed)
         summary = {k: v for k, v in full.items() if k != "records"}
         summary["passed"] = ok
         _emit_lines(records, summary, args)
@@ -361,22 +362,27 @@ def cmd_verify(args) -> int:
         "abs-bmo": _run_abs_bmo,
     }[args.check]
     trials = 20 if args.trials is None else args.trials
-    reports, ok = runner(config, trials, args.seed)
-    summary = {"check": args.check, "trials": trials, "seed": args.seed,
+    reports, ok = runner(config, trials, args.seed or 0)
+    summary = {"check": args.check, "trials": trials, "seed": args.seed or 0,
                "passed": ok}
     _emit_lines(reports, summary, args)
     return EXIT_OK if ok else EXIT_FAIL
 
 
+@functools.cache
+def _spec_validator():
+    """The experiment schema's validator; the schema itself is checked once."""
+    schema = json.loads(resources.files("dyadichardy").joinpath("schemas", SCHEMA_NAME).read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def cmd_run(args) -> int:
     spec = _load_json_file(args.spec)
-    schema = json.loads(
-        resources.files("dyadichardy").joinpath("schemas", SCHEMA_NAME).read_text()
-    )
-    try:
-        jsonschema.validate(spec, schema)
-    except jsonschema.ValidationError as exc:
-        print(f"error: spec failed schema validation: {exc.message}", file=sys.stderr)
+    error = jsonschema.exceptions.best_match(_spec_validator().iter_errors(spec))
+    if error is not None:
+        print(f"error: spec failed schema validation: {error.message}", file=sys.stderr)
         return EXIT_USAGE
     temp_paths = []
     try:
@@ -461,10 +467,12 @@ def _dispatch_spec(spec: dict, temp_paths: list) -> int:
 def _add_common(p):
     p.add_argument("--output", help="also write the report to this path")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # None: 0, or the theorem config's seed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="dyadichardy",
         description="Dyadic product-grid Hardy space toolkit",

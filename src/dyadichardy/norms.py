@@ -28,7 +28,8 @@ from .grid import (
     _factor_cubes,
 )
 from .martingale import _LevelView, _axis_levels, _blocks, _level_tensors, _refine
-from .windows import AlignedBox, axis_sides, iter_last_factor_means, iter_shapes, iter_window_sums
+from .windows import (BLOCK, AlignedBox, axis_sides, iter_last_factor_means, iter_shapes,
+                      iter_window_sums)
 
 EXACT_CAP_ENV = "DH_CAP_CELLS"
 DEFAULT_EXACT_CAP = 22
@@ -112,13 +113,18 @@ def packing_energy(f: GridFunction, mask: OpenSetMask, alpha: float | None = Non
         raise GridError("mask grid does not match function grid")
     if alpha is not None and alpha <= 0:
         raise GridError("size cap must be positive")
-    grid = f.grid
+    return _packed_energy([(lv, e) for lv, e in _energy_blocks(f)
+                           if alpha is None or _measure(f.grid, lv) <= alpha], mask.cells)
+
+
+def _packed_energy(blocks: list, cells: np.ndarray) -> float:
+    """Sum of the (levels, energy) blocks' entries whose rectangle lies inside
+    the cell mask, added left to right in canonical order."""
     picked = [np.zeros(1)]
-    for levels, energy in _energy_blocks(f):
-        if alpha is None or _measure(grid, levels) <= alpha:
-            # R lies in the mask when every one of its cells does.
-            inside = _blocks(mask.cells, energy.shape).all(axis=tuple(range(grid.n, 2 * grid.n)))
-            picked.append(energy[inside])
+    for _, energy in blocks:
+        # R lies in the mask when every one of its cells does.
+        inside = _blocks(cells, energy.shape).all(axis=tuple(range(cells.ndim, 2 * cells.ndim)))
+        picked.append(energy[inside])
     return float(np.cumsum(np.concatenate(picked))[-1])
 
 
@@ -132,36 +138,64 @@ class OscResult:
     rect_class: str
 
 
-def _dyadic_boxes(grid: ProductGrid):
-    """All dyadic rectangles, including finest-level cubes (oscillation 0 there)."""
-    per_factor = [_factor_cubes(grid, i, range(grid.depths[i] + 1)) for i in range(grid.d)]
-    for cubes in itertools.product(*per_factor):
-        yield DyadicRectangle(tuple(cubes))
+def _oscillations(boxes: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The p-mean oscillation of every box of `boxes` (box index axes, then n
+    cell axes), bit for bit as `.mean()` on each box's slice: boxes are copied
+    to rows in C order, about BLOCK elements at a time, and a row sum is the
+    slice's pairwise sum.  Numpy sums a strided slice of more than
+    `np.getbufsize()` cells in buffer-sized chunks, so such boxes keep `.mean()`."""
+    outer, size = boxes.shape[:-n], math.prod(boxes.shape[-n:])
+    count, step = math.prod(outer), max(1, BLOCK // size)
+    buffered = size > np.getbufsize()
+    out = np.empty(count)
+    for lo in range(0, count, step):
+        index = np.unravel_index(np.arange(lo, min(lo + step, count)), outer)
+        rows = boxes[index].reshape(-1, size)
+        mean = (np.array([boxes[k].mean() for k in zip(*index)]) if buffered
+                else rows.sum(axis=1) / size)
+        dev = rows - mean[:, None]
+        out[lo:lo + len(rows)] = (np.abs(dev) if p == 1 else dev ** 2).sum(axis=1) / size
+    return out.reshape(outer)
+
+
+def _aligned_oscillations(vals: np.ndarray, grid: ProductGrid):
+    """(shape, osc) per aligned window shape in `iter_shapes` order, osc[starts]
+    the mean absolute oscillation of the window at those starts."""
+    for shape in iter_shapes(grid):
+        boxes = np.lib.stride_tricks.sliding_window_view(vals, axis_sides(grid, shape))
+        yield shape, _oscillations(boxes, grid.n, 1)
 
 
 def little_bmo_norm(f: GridFunction, p: int = 2, rect_class: str = "aligned") -> OscResult:
     """sup over the rectangle class of the p-mean oscillation of f.
 
     rect_class "dyadic": products of dyadic cubes; "aligned": products of
-    grid-aligned cubes of any integer cell side and in-domain position.
-    """
+    grid-aligned cubes of any integer cell side and in-domain position.  The
+    witness is the first maximum (`_factor_cubes` product order; shape-major,
+    then start-lexicographic)."""
     if p not in (1, 2):
         raise GridError("p must be 1 or 2")
     if rect_class not in ("dyadic", "aligned"):
         raise GridError("rect_class must be 'dyadic' or 'aligned'")
     grid = f.grid
     vals = f.values.astype(np.float64)
-    best = -1.0
-    witness = None
+    best, witness = -1.0, None
     if rect_class == "dyadic":
-        for rect in _dyadic_boxes(grid):
-            sub = vals[rect.cell_slices(grid)]
-            osc = float(((sub - sub.mean()) ** 2 if p == 2 else np.abs(sub - sub.mean())).mean())
-            if osc > best:
-                best, witness = osc, rect
-        return OscResult(math.sqrt(max(best, 0.0)) if p == 2 else best, witness, p, rect_class)
-
-    if p == 2:
+        # One entry per dyadic rectangle (finest cubes included) indexed by each
+        # factor's cube index, so the first argmax is in product order.  The
+        # c = 2^{nj} cubes of level j start at sum_{l<j} 2^{nl} = (c - 1)/(2^n - 1).
+        cubes = [_factor_cubes(grid, i, range(depth + 1)) for i, depth in enumerate(grid.depths)]
+        table = np.empty([len(c) for c in cubes])
+        for levels in itertools.product(*(range(depth + 1) for depth in grid.depths)):
+            osc = _oscillations(_blocks(vals, [2 ** j for _, j in _axis_levels(grid, levels)]),
+                                grid.n, p)
+            counts = [2 ** (n * j) for n, j in zip(grid.factor_dims, levels)]
+            starts = [(c - 1) // (2 ** n - 1) for n, c in zip(grid.factor_dims, counts)]
+            table[tuple(slice(a, a + c) for a, c in zip(starts, counts))] = osc.reshape(counts)
+        pos = np.unravel_index(int(np.argmax(table)), table.shape)
+        best = float(table[pos])
+        witness = DyadicRectangle(tuple(c[k] for c, k in zip(cubes, pos)))
+    elif p == 2:
         # Runs of last-factor sides, side axis first, so the first argmax in
         # C order is the shape-major, start-lexicographic first maximum.
         # Out-of-domain starts hold mean -inf, hence osc2 = -inf - inf = -inf.
@@ -174,19 +208,13 @@ def little_bmo_norm(f: GridFunction, p: int = 2, rect_class: str = "aligned") ->
                     best = float(osc2[pos])
                     starts = tuple(int(x) for x in pos[1:])
                     witness = AlignedBox(starts, shape + (int(sides[pos[0]]),))
-        return OscResult(math.sqrt(max(best, 0.0)), witness, p, rect_class)
-
-    for shape in iter_shapes(grid):
-        sides = axis_sides(grid, shape)
-        ranges = [range(L - s + 1) for L, s in zip(grid.shape, sides)]
-        for starts in itertools.product(*ranges):
-            sl = tuple(slice(a, a + s) for a, s in zip(starts, sides))
-            sub = vals[sl]
-            osc = float(np.abs(sub - sub.mean()).mean())
-            if osc > best:
-                best = osc
-                witness = AlignedBox(tuple(starts), tuple(shape))
-    return OscResult(best, witness, p, rect_class)
+    else:
+        for shape, osc in _aligned_oscillations(vals, grid):
+            pos = np.unravel_index(int(np.argmax(osc)), osc.shape)
+            if float(osc[pos]) > best:
+                best = float(osc[pos])
+                witness = AlignedBox(tuple(int(x) for x in pos), tuple(shape))
+    return OscResult(math.sqrt(max(best, 0.0)) if p == 2 else best, witness, p, rect_class)
 
 
 @dataclass
@@ -579,7 +607,7 @@ def bmo_d_norm_cut(f: GridFunction, alpha: float | None = None) -> PackingResult
     if top * den < num * bottom:
         bound = math.nextafter(bound, math.inf)
     return PackingResult(
-        value=packing_energy(f, witness, alpha=alpha) / witness.measure,
+        value=_packed_energy(blocks, witness.cells) / witness.measure,
         witness=witness,
         mode="cut",
         diagnostics={"cuts": cuts, "boxes": n_boxes, "rectangles": len(rects),

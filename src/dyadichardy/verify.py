@@ -26,13 +26,14 @@ from .grid import (
 from .martingale import _blocks, delta_R
 from .maximal import TauParams, tau_build
 from .norms import (
+    _aligned_oscillations,
     _energy_blocks,
     bmo_d_norm_search,
     h1_norm,
     little_bmo_norm,
     packing_energy,
 )
-from .windows import factor_gradient_l1max, iter_shapes, axis_sides
+from .windows import factor_gradient_l1max
 
 PASS_TOL = 1e-10
 
@@ -253,26 +254,22 @@ def check_abs_bmo(f: GridFunction, g: GridFunction) -> InequalityReport:
     """
     grid = f.grid
     vals = f.values.astype(np.float64)
-    absvals = np.abs(vals)
     worst = (0.0, 0.0)
     factor1_pass = 0
     boxes = 0
-    for shape in iter_shapes(grid):
-        sides = axis_sides(grid, shape)
-        ranges = [range(L - s + 1) for L, s in zip(grid.shape, sides)]
-        for starts in itertools.product(*ranges):
-            sl = tuple(slice(a, a + s) for a, s in zip(starts, sides))
-            sub, asub = vals[sl], absvals[sl]
-            osc_f = float(np.abs(sub - sub.mean()).mean())
-            osc_abs = float(np.abs(asub - asub.mean()).mean())
-            boxes += 1
-            if osc_abs <= osc_f + PASS_TOL:
-                factor1_pass += 1
-            if osc_abs - 2.0 * osc_f > worst[0] - worst[1]:
-                worst = (osc_abs, 2.0 * osc_f)
+    n_f = -1.0
+    for (_, osc_f), (_, osc_abs) in zip(_aligned_oscillations(vals, grid),
+                                        _aligned_oscillations(np.abs(vals), grid)):
+        boxes += osc_f.size
+        factor1_pass += int(np.count_nonzero(osc_abs <= osc_f + PASS_TOL))
+        n_f = max(n_f, float(osc_f.max()))
+        # The first box of largest excess, kept only when strictly above the
+        # excess of the worst box of an earlier shape.
+        k = int(np.argmax(osc_abs - 2.0 * osc_f))
+        if osc_abs.flat[k] - 2.0 * osc_f.flat[k] > worst[0] - worst[1]:
+            worst = (float(osc_abs.flat[k]), 2.0 * float(osc_f.flat[k]))
     maxfg = GridFunction(grid, np.maximum(vals, g.values.astype(np.float64)))
     n_max = little_bmo_norm(maxfg, p=1, rect_class="aligned").value
-    n_f = little_bmo_norm(f, p=1, rect_class="aligned").value
     n_g = little_bmo_norm(g, p=1, rect_class="aligned").value
     n_diff = little_bmo_norm((f - g).abs(), p=1, rect_class="aligned").value
     max_bound = (n_f + n_g + n_diff) / 2.0

@@ -50,12 +50,6 @@ class AlignedBox:
                 axis += 1
         return tuple(sl)
 
-    def cell_count(self, grid: ProductGrid) -> int:
-        return shape_cell_count(grid, self.sides)
-
-    def measure(self, grid: ProductGrid) -> float:
-        return self.cell_count(grid) * grid.cell_volume
-
 
 def iter_shapes(grid: ProductGrid):
     """All per-factor cube sides (in cells)."""
@@ -68,13 +62,6 @@ def axis_sides(grid: ProductGrid, shape) -> list:
     for i, s in enumerate(shape):
         out.extend([s] * grid.factor_dims[i])
     return out
-
-
-def shape_cell_count(grid: ProductGrid, shape) -> int:
-    c = 1
-    for i, s in enumerate(shape):
-        c *= s ** grid.factor_dims[i]
-    return c
 
 
 def _take(a: np.ndarray, axis: int, sl: slice) -> np.ndarray:

@@ -1,0 +1,96 @@
+"""Per-box loops that the array oscillation kernel replaced, kept as test
+oracles (every box is sliced out of the value array and reduced with
+`.mean()`, and the first maximum wins on a strict `>`), and the data they
+are compared on."""
+
+import itertools
+import math
+
+import numpy as np
+
+from dyadichardy import DyadicRectangle, GridFunction, OscResult
+from dyadichardy.grid import _factor_cubes
+from dyadichardy.verify import PASS_TOL, InequalityReport
+from dyadichardy.windows import AlignedBox, axis_sides, iter_shapes
+
+
+def oracle_data(grid, kind, seed):
+    """Uniform values, small integers (many tied boxes), or mixed magnitudes."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return GridFunction(grid, rng.uniform(-1, 1, grid.shape))
+    if kind == "integer":
+        return GridFunction(grid, rng.integers(-2, 3, grid.shape).astype(float))
+    scale = np.where(rng.random(grid.shape) < 0.5, 1e6, 1e-9)
+    return GridFunction(grid, rng.uniform(-1, 1, grid.shape) * scale)
+
+
+def _aligned_boxes(grid):
+    """(starts, shape, slices) of every aligned box, shape-major then start-lex."""
+    for shape in iter_shapes(grid):
+        sides = axis_sides(grid, shape)
+        ranges = [range(L - s + 1) for L, s in zip(grid.shape, sides)]
+        for starts in itertools.product(*ranges):
+            yield starts, shape, tuple(slice(a, a + s) for a, s in zip(starts, sides))
+
+
+def little_bmo_oracle(f, p, rect_class):
+    """little_bmo_norm for p = 1 and 2 over dyadic boxes, and p = 1 over aligned ones."""
+    grid = f.grid
+    vals = f.values.astype(np.float64)
+    best = -1.0
+    witness = None
+    if rect_class == "dyadic":
+        per_factor = [_factor_cubes(grid, i, range(grid.depths[i] + 1)) for i in range(grid.d)]
+        for cubes in itertools.product(*per_factor):
+            rect = DyadicRectangle(tuple(cubes))
+            sub = vals[rect.cell_slices(grid)]
+            osc = float(((sub - sub.mean()) ** 2 if p == 2 else np.abs(sub - sub.mean())).mean())
+            if osc > best:
+                best, witness = osc, rect
+        return OscResult(math.sqrt(max(best, 0.0)) if p == 2 else best, witness, p, rect_class)
+    assert p == 1
+    for starts, shape, sl in _aligned_boxes(grid):
+        sub = vals[sl]
+        osc = float(np.abs(sub - sub.mean()).mean())
+        if osc > best:
+            best = osc
+            witness = AlignedBox(tuple(starts), tuple(shape))
+    return OscResult(best, witness, p, rect_class)
+
+
+def check_abs_bmo_oracle(f, g):
+    """check_abs_bmo with one slice per aligned box and the oracle's norms."""
+    grid = f.grid
+    vals = f.values.astype(np.float64)
+    absvals = np.abs(vals)
+    worst = (0.0, 0.0)
+    factor1_pass = 0
+    boxes = 0
+    for _, _, sl in _aligned_boxes(grid):
+        sub, asub = vals[sl], absvals[sl]
+        osc_f = float(np.abs(sub - sub.mean()).mean())
+        osc_abs = float(np.abs(asub - asub.mean()).mean())
+        boxes += 1
+        if osc_abs <= osc_f + PASS_TOL:
+            factor1_pass += 1
+        if osc_abs - 2.0 * osc_f > worst[0] - worst[1]:
+            worst = (osc_abs, 2.0 * osc_f)
+    maxfg = GridFunction(grid, np.maximum(vals, g.values.astype(np.float64)))
+    n_max = little_bmo_oracle(maxfg, 1, "aligned").value
+    n_f = little_bmo_oracle(f, 1, "aligned").value
+    n_g = little_bmo_oracle(g, 1, "aligned").value
+    n_diff = little_bmo_oracle((f - g).abs(), 1, "aligned").value
+    max_bound = (n_f + n_g + n_diff) / 2.0
+    return InequalityReport(
+        name="abs-bmo",
+        lhs=worst[0],
+        rhs=worst[1],
+        hypotheses={"max-identity bound": n_max <= max_bound + PASS_TOL * max(1.0, max_bound)},
+        witness={
+            "factor1_pass_rate": factor1_pass / boxes,
+            "boxes": boxes,
+            "max_bmo": n_max,
+            "max_bound": max_bound,
+        },
+    )

@@ -343,3 +343,58 @@ def test_cli_import_loads_no_scipy_or_networkx():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", [["verify", "theorem"], ["demo"]])
+def test_theorem_seed_flag_overrides_config_seed(tmp_path, capsys, monkeypatch, command):
+    from dyadichardy import cli
+    seeds = []
+    theorem_demo = cli.verify_mod.theorem_demo
+
+    def recording(config):
+        seeds.append(config.seed)
+        return theorem_demo(config)
+
+    monkeypatch.setattr(cli.verify_mod, "theorem_demo", recording)
+    config, seeded = tmp_path / "config.json", tmp_path / "seeded.json"
+    config.write_text(json.dumps(THEOREM_CONFIG))
+    seeded.write_text(json.dumps(dict(THEOREM_CONFIG, parameters={"horizon": 1, "seed": 4})))
+    flag = _main_stdout(capsys, [*command, "--config", str(config), "--seed", "4"])
+    assert flag == _main_stdout(capsys, [*command, "--config", str(seeded)])
+    _main_stdout(capsys, [*command, "--config", str(config)])
+    assert seeds == [4, 4, 0]
+
+
+def test_verify_without_seed_reports_seed_0(capsys):
+    code, out = _main_stdout(capsys, ["verify", "abs-bmo", "--trials", "1"])
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["summary"]["seed"] == 0
+
+
+def test_cli_builds_one_parser_and_one_schema_validator(tmp_path, capsys, monkeypatch):
+    import argparse
+    from dyadichardy import cli
+    parsers, schema_reads = [], []
+    init, files = argparse.ArgumentParser.__init__, cli.resources.files
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_files(package):
+        schema_reads.append(package)
+        return files(package)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli.resources, "files", counting_files)
+    cli.build_parser.cache_clear()
+    cli._spec_validator.cache_clear()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "schema": "experiment-v1", "command": "norms", "subcommand": "h1",
+        "grid": {"factor_dims": [1], "depths": [2]}, "inputs": {"f": {"kind": "haar-atom"}}}))
+    first = _main_stdout(capsys, ["run", "--spec", str(spec)])
+    built = len(parsers)
+    assert built > 0 and len(schema_reads) == 1
+    assert _main_stdout(capsys, ["run", "--spec", str(spec)]) == first
+    assert (len(parsers), len(schema_reads)) == (built, 1)

@@ -27,6 +27,9 @@ from dyadichardy import (
     square_function,
 )
 from dyadichardy import generators
+from dyadichardy.norms import _oscillations
+from dyadichardy.windows import AlignedBox
+from oracles import little_bmo_oracle, oracle_data
 
 
 def random_function(grid, seed):
@@ -162,14 +165,46 @@ def test_little_bmo_dyadic_below_aligned():
 
 
 def test_little_bmo_aligned_p1_matches_brute_force():
-    # fast p=2 aligned path sanity: p=1 brute force and p=2 window path agree
-    # on a function where all oscillations are attained on the same box
     g = ProductGrid((1,), (2,))
     f = GridFunction(g, np.array([0.0, 0.0, 0.0, 1.0]))
-    res2 = little_bmo_norm(f, p=2, rect_class="aligned")
-    # best p=2 box is the pair (0,1) variance... verify witness validity
-    sub = f.values[res2.witness.slices(g)]
-    assert np.sqrt(((sub - sub.mean()) ** 2).mean()) == pytest.approx(res2.value, rel=1e-12)
+    res = little_bmo_norm(f, p=1, rect_class="aligned")
+    # the pair (0, 1) at cells 2..3 deviates by 1/2; the whole row only by 3/8
+    assert (res.value, res.witness) == (0.5, AlignedBox((2,), (2,)))
+    assert res == little_bmo_oracle(f, 1, "aligned")
+
+
+ORACLE_GRIDS = [((1,), (5,)), ((2,), (2,)), ((1, 1), (2, 3)), ((1, 2), (3, 1)),
+                ((2, 1), (2, 2)), ((1, 1, 1), (2, 1, 2)), ((1, 1, 1), (1, 1, 1))]
+
+
+@pytest.mark.parametrize("dims, depths", ORACLE_GRIDS)
+@pytest.mark.parametrize("kind", ["uniform", "integer", "mixed"])
+def test_little_bmo_matches_per_box_oracle(dims, depths, kind):
+    grid = ProductGrid(dims, depths)
+    for seed in range(2):
+        f = oracle_data(grid, kind, seed)
+        for p, rect_class in ((1, "aligned"), (1, "dyadic"), (2, "dyadic")):
+            assert little_bmo_norm(f, p, rect_class) == little_bmo_oracle(f, p, rect_class)
+
+
+def test_oscillation_kernel_on_boxes_over_the_buffer_size():
+    # Numpy sums a strided slice of more than np.getbufsize() cells in
+    # buffer-sized chunks; the kernel must still agree with .mean() there.
+    rng = np.random.default_rng(0)
+    vals = rng.uniform(-1, 1, (128, 96)) * np.where(rng.random((128, 96)) < 0.5, 1e6, 1e-9)
+    chunked = False
+    for sides in ((120, 80), (100, 90)):
+        assert math.prod(sides) > np.getbufsize()
+        boxes = np.lib.stride_tricks.sliding_window_view(vals, sides)
+        for p in (1, 2):
+            osc = _oscillations(boxes, 2, p)
+            for starts in np.ndindex(*osc.shape):
+                sub = vals[tuple(slice(a, a + s) for a, s in zip(starts, sides))]
+                dev = sub - sub.mean()
+                assert osc[starts] == (np.abs(dev) if p == 1 else dev ** 2).mean()
+                row = sub.ravel()
+                chunked |= row.sum() != sub.sum()
+    assert chunked  # one plain row sum rounds differently from the slice's
 
 
 # sha256 of repr((value.hex(), witness.starts, witness.sides)) for
@@ -199,6 +234,78 @@ def test_little_bmo_aligned_p2_golden_digests():
         res = little_bmo_norm(f, p=2, rect_class="aligned")
         key = repr((res.value.hex(), res.witness.starts, res.witness.sides))
         assert hashlib.sha256(key.encode()).hexdigest() == digest, (dims, depths)
+
+
+# sha256 of repr([(value.hex(), witness) for f, its walk]) for little_bmo_norm
+# at the rect_class and p in the table name, with f = random_uniform(grid,
+# seed=k), k the grid's position in LITTLE_BMO_DIGESTS, and its walk the
+# cumulative sum of f over every axis in turn (so large boxes win too).  The
+# witness is (starts, sides) for aligned boxes and key() for dyadic ones.
+# Recorded from the per-box loops (tests/oracles.py) before the array kernel
+# replaced them; (1,)x(11,) is too slow there for p=1 aligned.
+LITTLE_BMO_P1_ALIGNED_DIGESTS = {
+    ((1,), (8,)): "70448fed6fedb073c7da99690fb7b56fb9eecf59bf7694b2e7b17797cadf5806",
+    ((1, 1), (4, 4)): "f700c2de39ca3a6d6e075b6d24dcf40a6dcef00f67132d2ddaf6ce12e51bf215",
+    ((1, 1), (2, 2)): "b804d7e9dc72c57543cef6725974cbecd58bd93c69d3f025b8090706a3a75c61",
+    ((2,), (2,)): "a809b053225d027087424a642924f71fa703f068b5b29a827c595624dfb96e05",
+    ((1, 1, 1), (2, 2, 2)): "c0a077677dcefb264147d398c1d54f6f66ce6cef8bfb36817e2227e00b1dde39",
+    ((1,), (6,)): "1eefbbf134b5046cc3bbd2882ea1596e6a4beb580f22a4f3495655bc947e96e4",
+    ((1, 2), (3, 1)): "61e448d0406288da10fe95f0d0cb3940372c988a07c381e236c522ca0fbf2b67",
+    ((2, 1), (2, 2)): "5dfbda5d293299fac34ad49e2e5e73cb03e81c1f8b73d6d47d96ccc15ed05827",
+    ((1,), (9,)): "c291b2dcd3a13e451ff3612d002d1b6a202d415440026d12bb78bd3f9d49d8f7",
+    ((1, 1), (5, 5)): "6884d64bd60ae3bd308d596ef2deb8ffb441ca9eb1d4b949a88fb1b58e9e7025",
+    ((1, 1, 1), (3, 3, 3)): "5d6007f2c741ab885945284efbbc52dec1212b8d241b61138a513957c479c176",
+}
+LITTLE_BMO_P1_DYADIC_DIGESTS = {
+    ((1,), (8,)): "1bab02a114af6b312d8d9dbf3eaef9d1931c51fabbbd0d115dbba59b37ab26d2",
+    ((1, 1), (4, 4)): "8ffd8cbdff5a4496a919c1fbe2dfba99892bf852fd1269183e242f8eb7b4fa2a",
+    ((1, 1), (2, 2)): "b52ee72ff6a5569800ca893b67dbe8146dc1ea534711c3ad8c418392d445dd16",
+    ((2,), (2,)): "930f3ac8600edfc351fabd21ebea9ed98487618eb749487e3f78e698ff7aad5e",
+    ((1, 1, 1), (2, 2, 2)): "bccfb7347aa40872c8808b22c6142c7079aed54fdf2d6a212ba7fe356944d9ba",
+    ((1,), (6,)): "90dd8c1981481d23c52266882227090f6c6e2eead24bafe8522a78a119d7005e",
+    ((1, 2), (3, 1)): "31b2fa8a42d852e2df25779e02f86dc62fa47aaf8c443f440f0cf0dd0e0bff46",
+    ((2, 1), (2, 2)): "f2f19a485324eb6721fecf1d649a269de8a4e2bfd21a9203408ea37796084bca",
+    ((1,), (9,)): "8b625e39627bcb0caba53d88f74a33c6a63aca29f55ef1e2da141150c9c7bb1e",
+    ((1,), (11,)): "def3e0b3dde1761e8ddeb18f4ba47f3212758c7dff97757ea04a992e6fa6e72a",
+    ((1, 1), (5, 5)): "e4ad968f7a11b1d325a6a797e189a53d0a11c192dbc72ae675bc5a7cf4e7a163",
+    ((1, 1, 1), (3, 3, 3)): "cddaf67c4a064d18dea8cb015c85d8ec033f3dfb5c383288fd4424fa8986cabd",
+}
+LITTLE_BMO_P2_DYADIC_DIGESTS = {
+    ((1,), (8,)): "f5dd8bcc19a53654a0b494551255e739cd92753796231263c6292c0bc39268b6",
+    ((1, 1), (4, 4)): "5d97585f203bf2e1fe8ea291825957f1a02801d4e421879fd08c6d7f6d71e999",
+    ((1, 1), (2, 2)): "b52ee72ff6a5569800ca893b67dbe8146dc1ea534711c3ad8c418392d445dd16",
+    ((2,), (2,)): "9fec08bfeaceb828563e84a81b83893cc51aa9a37f2d7e32edd2b76fb9df37c4",
+    ((1, 1, 1), (2, 2, 2)): "b31185cb41e48435d7c8850d25a86c44a52e7a022b326a776bafc2968c4b21d1",
+    ((1,), (6,)): "51b1757ae41e64cdcc30aa4fc9cd61f34554a8c6e08cfa5334b90d662867f917",
+    ((1, 2), (3, 1)): "0733f973cfd5db05fabf6d5f4cd25994e2e26f91c355c602468cc359d307bed7",
+    ((2, 1), (2, 2)): "b6939f76789dc7fec135db9a1c77bc2c6b7bd521473a97e3bf2ac9c6dc398134",
+    ((1,), (9,)): "eb610d07668e8e1fe3896d6f069302267c34f61457672cfb14a5a5fa51120a6a",
+    ((1,), (11,)): "1d59fa901ceebe2c0d9cc90a05628af577b3957db79d082e4013d3e80964ba24",
+    ((1, 1), (5, 5)): "48ef9b0f7c804d612971bfeed4ea80f059b0d346b1fe2e5f16b7f39e2ac96e35",
+    ((1, 1, 1), (3, 3, 3)): "fb365a544f8ead53d8867682b3d8454d6bc712d296f79dd038338c6a9f7e83b8",
+}
+
+
+@pytest.mark.parametrize("p, rect_class, digests", [
+    (1, "aligned", LITTLE_BMO_P1_ALIGNED_DIGESTS),
+    (1, "dyadic", LITTLE_BMO_P1_DYADIC_DIGESTS),
+    (2, "dyadic", LITTLE_BMO_P2_DYADIC_DIGESTS),
+])
+def test_little_bmo_kernel_golden_digests(p, rect_class, digests):
+    grids = list(LITTLE_BMO_DIGESTS)
+    for (dims, depths), digest in digests.items():
+        grid = ProductGrid(dims, depths)
+        f = generators.random_uniform(grid, seed=grids.index((dims, depths)))
+        walk = f.values
+        for axis in range(walk.ndim):
+            walk = np.cumsum(walk, axis=axis)
+        keys = []
+        for g in (f, GridFunction(grid, walk)):
+            res = little_bmo_norm(g, p=p, rect_class=rect_class)
+            witness = (res.witness.key(),) if rect_class == "dyadic" else (
+                res.witness.starts, res.witness.sides)
+            keys.append((res.value.hex(),) + witness)
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest, (dims, depths)
 
 
 def test_bmo_d_exact_haar_atom_witness():

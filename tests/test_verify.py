@@ -26,6 +26,7 @@ from dyadichardy import (
     theorem_demo,
 )
 from dyadichardy import generators
+from oracles import check_abs_bmo_oracle, oracle_data
 
 
 def random_function(grid, seed):
@@ -206,6 +207,16 @@ def test_abs_bmo_random_trials():
         h = GridFunction(g, rng.uniform(-1, 1, g.shape))
         rep = check_abs_bmo(f, h)
         assert rep.passed, rep.to_dict()
+
+
+@pytest.mark.parametrize("dims, depths", [((1,), (4,)), ((2,), (2,)), ((1, 1), (2, 2)),
+                                          ((1, 2), (2, 1)), ((1, 1, 1), (1, 1, 2))])
+@pytest.mark.parametrize("kind", ["uniform", "integer", "mixed"])
+def test_abs_bmo_matches_per_box_oracle(dims, depths, kind):
+    grid = ProductGrid(dims, depths)
+    for seed in (0, 2):
+        f, g = oracle_data(grid, kind, seed), oracle_data(grid, kind, seed + 1)
+        assert check_abs_bmo(f, g).to_dict() == check_abs_bmo_oracle(f, g).to_dict()
 
 
 def test_theorem_config_validation():
