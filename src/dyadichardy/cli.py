@@ -4,6 +4,10 @@ maximal/cutoff pipeline, and the inequality certification harness.
 Exit codes: 0 pass, 1 usage/IO/schema error, 2 inequality or numerical
 failure, 3 resource cap exceeded.  Reports are deterministic for a fixed
 spec and seed; wall-clock metadata goes to stderr, never into a report.
+
+Each command is one handler whose keyword parameters are both the flags it
+takes and the spec parameters it honours: flags and `run --spec` build the
+same objects and call the same handler.
 """
 
 from __future__ import annotations
@@ -11,11 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
-import os
 import sys
-import tempfile
 import time
 from importlib import resources
 
@@ -32,7 +35,7 @@ from .grid import (
     enumerate_rectangles,
 )
 from .martingale import decompose, decomposition_to_dict, reconstruct
-from .maximal import TauParams, check_a1, iterate_maximal, tau_build
+from .maximal import TauParams, check_a1 as a1_constant, iterate_maximal, tau_build
 from .norms import (
     bmo_d_norm_cut,
     bmo_d_norm_exact,
@@ -59,29 +62,55 @@ EXIT_CAP = 3
 SCHEMA_NAME = "experiment-v1.schema.json"
 
 
+# The run-configuration parameters that `verify` and `demo` read; a verify
+# spec's other parameters are handler arguments.
+CONFIG_KEYS = ("epsilon", "eta", "alpha", "delta", "generator", "horizon")
+
 # ---------------------------------------------------------------- I/O helpers
 
-def _load_json_file(path: str) -> dict:
+def _load_json_file(path: str):
     with open(path) as fh:
         return json.load(fh)
 
 
-def _parse_grid(text: str) -> ProductGrid:
-    """Grid from an inline JSON descriptor or a path to one."""
+def _read_json(text: str):
+    """JSON from an inline value or from the file it names."""
     text = text.strip()
-    if text.startswith("{"):
-        data = json.loads(text)
-    else:
-        data = _load_json_file(text)
-    return ProductGrid.from_dict(data)
+    return json.loads(text) if text.startswith("{") else _load_json_file(text)
 
 
-def _load_function(path: str) -> GridFunction:
-    return GridFunction.from_dict(_load_json_file(path))
+@functools.cache
+def _spec_validator():
+    """The experiment schema's validator; the schema itself is checked once."""
+    schema = json.loads(resources.files("dyadichardy").joinpath("schemas", SCHEMA_NAME).read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
-def _load_mask(path: str) -> OpenSetMask:
-    return OpenSetMask.from_dict(_load_json_file(path))
+def _validate(instance, what="config"):
+    """`instance` if it is a valid spec or, for what="config", a valid run
+    configuration (a spec's `grid` and `parameters` alone); else GridError."""
+    validator = _spec_validator()
+    if what == "config":
+        props = validator.schema["properties"]
+        validator = validator.evolve(schema={
+            "type": "object", "additionalProperties": False,
+            "properties": {key: props[key] for key in ("grid", "parameters")}})
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise GridError(f"{what} failed schema validation: {error.message}")
+    return instance
+
+
+# How each object a handler reads is built from its JSON form: the value of
+# its flag (inline JSON or a path), or a spec's `inputs` entry.
+_FROM_DICT = {
+    "grid": ProductGrid.from_dict,
+    "f": GridFunction.from_dict,
+    "E": OpenSetMask.from_dict,
+    "config": _validate,
+}
 
 
 def _jsonable(obj):
@@ -123,9 +152,13 @@ def _flatten_csv_rows(obj, prefix=""):
     return rows
 
 
-def _emit(report, args) -> None:
+def _emit(report, output=None, format="json") -> None:
+    """Write a report to stdout and to `output`, and a timestamp to stderr.
+    A list report (verify) is written as one JSON object per line."""
     report = _jsonable(report)
-    if getattr(args, "format", "json") == "csv":
+    if isinstance(report, list):
+        text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in report)
+    elif format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
@@ -134,19 +167,6 @@ def _emit(report, args) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-    print(json.dumps({"meta": {"timestamp": time.time()}}), file=sys.stderr)
-
-
-def _emit_lines(trial_reports, summary, args) -> None:
-    lines = [json.dumps(_jsonable(r), sort_keys=True) for r in trial_reports]
-    lines.append(json.dumps({"summary": _jsonable(summary)}, sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    output = getattr(args, "output", None)
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -155,74 +175,65 @@ def _emit_lines(trial_reports, summary, args) -> None:
 
 
 # ---------------------------------------------------------------- subcommands
+# `seed` is accepted by every command, like the --seed flag, and unused by
+# decompose, norms, maximal and tau.
 
-def cmd_generate(args) -> int:
-    grid = _parse_grid(args.grid)
-    params = json.loads(args.params) if args.params else {}
-    obj = generators.generate(args.kind, grid, params, seed=args.seed or 0)
-    _emit(obj.to_dict(), args)
-    return EXIT_OK
+def cmd_generate(*, kind, grid, params=None, seed=None):
+    params = json.loads(params) if params else {}
+    return generators.generate(kind, grid, params, seed=seed or 0).to_dict()
 
 
-def cmd_decompose(args) -> int:
-    f = _load_function(args.input)
+def cmd_decompose(*, f, seed=None):
     dec = decompose(f)
     report = decomposition_to_dict(dec)
     back = reconstruct(dec)
     report["reconstruction_max_error"] = float(
         np.abs(back.values - f.values).max()
     )
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_norms(args) -> int:
-    f = _load_function(args.input)
-    if args.quantity == "sf":
+def cmd_norms(quantity, *, f, exact=False, restarts=12, cap=None, cap_cells=None,
+              shift=None, p=2, rect_class="aligned", include_mean=False, seed=None):
+    """`restarts` is accepted and unused: no engine behind bmo-dyadic is random."""
+    if quantity == "sf":
         sf = square_function(f)
-        _emit({"value": float(sf.integral()), "witness": sf.to_dict(),
-               "mode": "exact", "diagnostics": {}}, args)
-        return EXIT_OK
-    if args.quantity == "h1":
-        _emit({"value": h1_norm(f, include_mean=args.include_mean),
-               "witness": None, "mode": "exact",
-               "diagnostics": {"include_mean": args.include_mean}}, args)
-        return EXIT_OK
-    if args.quantity == "bmo-little":
-        res = little_bmo_norm(f, p=args.p, rect_class=args.rect_class)
-        _emit({"value": res.value, "witness": res.witness, "mode": "exact",
-               "diagnostics": {"p": res.p, "rect_class": res.rect_class}}, args)
-        return EXIT_OK
-    # bmo-dyadic
-    if args.shift is not None:
-        if args.exact:
+        return {"value": float(sf.integral()), "witness": sf.to_dict(),
+                "mode": "exact", "diagnostics": {}}
+    if quantity == "h1":
+        return {"value": h1_norm(f, include_mean=include_mean),
+                "witness": None, "mode": "exact",
+                "diagnostics": {"include_mean": include_mean}}
+    if quantity == "bmo-little":
+        res = little_bmo_norm(f, p=p, rect_class=rect_class)
+        return {"value": res.value, "witness": res.witness, "mode": "exact",
+                "diagnostics": {"p": res.p, "rect_class": res.rect_class}}
+    if quantity != "bmo-dyadic":
+        raise GridError(f"unknown norms quantity {quantity!r}")
+    if shift is not None:
+        if exact:
             raise GridError("--shift runs the min-cut engine; drop --exact")
-        res = shifted_packing(f, args.shift, alpha=args.cap)
-    elif args.exact:
-        res = bmo_d_norm_exact(f, cap_cells=args.cap_cells, alpha=args.cap)
+        res = shifted_packing(f, shift, alpha=cap)
+    elif exact:
+        res = bmo_d_norm_exact(f, cap_cells=cap_cells, alpha=cap)
     else:
-        res = bmo_d_norm_cut(f, alpha=args.cap)
-    _emit({"value": res.value, "witness": res.witness, "mode": res.mode,
-           "diagnostics": res.diagnostics}, args)
-    return EXIT_OK
+        res = bmo_d_norm_cut(f, alpha=cap)
+    return {"value": res.value, "witness": res.witness, "mode": res.mode,
+            "diagnostics": res.diagnostics}
 
 
-def cmd_maximal(args) -> int:
-    f = _load_function(args.input)
-    mf = iterate_maximal(f, args.iter)
+def cmd_maximal(*, f, iter=1, check_a1=False, seed=None):
+    mf = iterate_maximal(f, iter)
     report = {"value": mf.to_dict(), "witness": None, "mode": "exact",
-              "diagnostics": {"iterations": args.iter}}
-    if args.check_a1:
-        report["diagnostics"]["a1_constant"] = check_a1(mf)
-    _emit(report, args)
-    return EXIT_OK
+              "diagnostics": {"iterations": iter}}
+    if check_a1:
+        report["diagnostics"]["a1_constant"] = a1_constant(mf)
+    return report
 
 
-def cmd_tau(args) -> int:
-    E = _load_mask(args.set)
-    params = TauParams(delta=args.delta, c=args.c, tol=args.tol, kmax=args.kmax)
-    report = tau_build(E, params)
-    _emit({
+def cmd_tau(*, E, delta, c=None, tol=1e-8, kmax=60, seed=None):
+    report = tau_build(E, TauParams(delta=delta, c=c, tol=tol, kmax=kmax))
+    return {
         "tau": report.tau,
         "m": report.m,
         "bmo_norm_measured": report.bmo_norm_measured,
@@ -233,8 +244,7 @@ def cmd_tau(args) -> int:
         "c_used": report.c_used,
         "l2_ratio": report.l2_ratio,
         "chebyshev_c2": report.chebyshev_c2,
-    }, args)
-    return EXIT_OK
+    }
 
 
 # ------------------------------------------------------------- verify runners
@@ -261,243 +271,189 @@ def _random_subfamily(grid: ProductGrid, rng, keep=0.3, alpha=None, strict=False
     return RectangleFamily(grid, members)
 
 
-def _run_lemma_a(config, trials, seed):
-    grid = _config_grid(config, ProductGrid((1, 1), (2, 2)))
-    rng = np.random.default_rng(seed)
-    reports = []
-    for t in range(trials):
-        f = _random_function(grid, rng)
-        family = _random_subfamily(grid, rng)
-        i = int(rng.integers(grid.d))
-        rep = check_lemma_a(f, family, i).to_dict()
-        rep["trial"] = t
-        reports.append(rep)
-    return reports, all(r["passed"] for r in reports)
+def _lemma_a_trial(grid, rng, alpha):
+    f = _random_function(grid, rng)
+    family = _random_subfamily(grid, rng)
+    return check_lemma_a(f, family, int(rng.integers(grid.d))).to_dict()
 
 
-def _run_split(config, trials, seed):
-    grid = _config_grid(config, ProductGrid((1, 1), (3, 3)))
-    alpha = config.get("parameters", {}).get("alpha", 0.25)
-    rng = np.random.default_rng(seed)
-    reports = []
-    for t in range(trials):
-        family = _random_subfamily(grid, rng, alpha=alpha, strict=True)
-        res = split_family(family, alpha).to_dict()
-        res["trial"] = t
-        res["family_size"] = len(family)
-        reports.append(res)
-    return reports, all(r["covered"] for r in reports)
+def _split_trial(grid, rng, alpha):
+    family = _random_subfamily(grid, rng, alpha=alpha, strict=True)
+    return dict(split_family(family, alpha).to_dict(), family_size=len(family))
 
 
-def _run_lemma_b(config, trials, seed):
-    grid = _config_grid(config, ProductGrid((1, 1), (2, 2)))
-    params = config.get("parameters", {})
-    alpha = params.get("alpha", 0.25)
-    rng = np.random.default_rng(seed)
-    reports = []
-    for t in range(trials):
-        phi = generators.smooth_bump(
-            grid,
-            center=float(rng.uniform(0.3, 0.7)),
-            width=float(rng.uniform(0.5, 1.0)),
-        )
-        b_vals = rng.uniform(-1.0, 1.0, size=grid.shape)
-        b = GridFunction(grid, b_vals / max(np.abs(b_vals).max(), 1.0))
-        omega = generators.random_mask(grid, seed=int(rng.integers(2 ** 31)))
-        rep = check_lemma_b(phi, b, omega, alpha).to_dict()
-        rep["trial"] = t
-        reports.append(rep)
-    return reports, all(r["passed"] for r in reports)
+def _lemma_b_trial(grid, rng, alpha):
+    phi = generators.smooth_bump(
+        grid,
+        center=float(rng.uniform(0.3, 0.7)),
+        width=float(rng.uniform(0.5, 1.0)),
+    )
+    b_vals = rng.uniform(-1.0, 1.0, size=grid.shape)
+    b = GridFunction(grid, b_vals / max(np.abs(b_vals).max(), 1.0))
+    omega = generators.random_mask(grid, seed=int(rng.integers(2 ** 31)))
+    return check_lemma_b(phi, b, omega, alpha).to_dict()
 
 
-def _run_abs_bmo(config, trials, seed):
-    grid = _config_grid(config, ProductGrid((1, 1), (2, 2)))
-    rng = np.random.default_rng(seed)
-    reports = []
-    for t in range(trials):
-        f = _random_function(grid, rng)
-        g = _random_function(grid, rng)
-        rep = check_abs_bmo(f, g).to_dict()
-        rep["trial"] = t
-        reports.append(rep)
-    return reports, all(r["passed"] for r in reports)
+def _abs_bmo_trial(grid, rng, alpha):
+    f = _random_function(grid, rng)
+    g = _random_function(grid, rng)
+    return check_abs_bmo(f, g).to_dict()
+
+
+# check: (one randomized trial, default grid depth per factor, verdict key)
+_CHECKS = {
+    "lemma-a": (_lemma_a_trial, 2, "passed"),
+    "split": (_split_trial, 3, "covered"),
+    "lemma-b": (_lemma_b_trial, 2, "passed"),
+    "abs-bmo": (_abs_bmo_trial, 2, "passed"),
+}
 
 
 def _theorem_config(config, seed=None) -> TheoremRunConfig:
     grid = _config_grid(config, ProductGrid((1, 1), (5, 5)))
     params = config.get("parameters", {})
-    kwargs = {name: params[name] for name in
-              ("epsilon", "eta", "alpha", "delta", "generator", "horizon", "seed") if name in params}
+    kwargs = {name: params[name] for name in (*CONFIG_KEYS, "seed") if name in params}
     if seed is not None:
         kwargs["seed"] = seed
     return TheoremRunConfig(grid=grid, **kwargs)
 
 
-def _run_theorem(config, seed):
-    run_config = _theorem_config(config, seed)
-    report = verify_mod.theorem_demo(run_config)
-    final = report["records"][-1]
-    if run_config.generator == "h1-bounded":
-        ok = final["gap"] < run_config.epsilon
-    else:
-        ok = final["gap"] >= 0.9 * abs(report["phi_at_x0"])
-    return report["records"], ok, report
-
-
-def cmd_verify(args) -> int:
-    config = _load_json_file(args.config) if args.config else {}
-    if args.check == "theorem":
-        if args.trials is not None:
+def cmd_verify(check, *, config=None, trials=None, seed=None):
+    """Report lines: one per trial (per horizon step for the theorem), then
+    {"summary": ...}."""
+    config = config or {}
+    if check == "theorem":
+        if trials is not None:
             raise GridError("the theorem demo runs once and takes no --trials "
                             "(spec key parameters.trials)")
-        records, ok, full = _run_theorem(config, args.seed)
-        summary = {k: v for k, v in full.items() if k != "records"}
+        run_config = _theorem_config(config, seed)
+        report = verify_mod.theorem_demo(run_config)
+        final = report["records"][-1]
+        if run_config.generator == "h1-bounded":
+            ok = final["gap"] < run_config.epsilon
+        else:
+            ok = final["gap"] >= 0.9 * abs(report["phi_at_x0"])
+        summary = {k: v for k, v in report.items() if k != "records"}
         summary["passed"] = ok
-        _emit_lines(records, summary, args)
-        return EXIT_OK if ok else EXIT_FAIL
-    runner = {
-        "lemma-a": _run_lemma_a,
-        "split": _run_split,
-        "lemma-b": _run_lemma_b,
-        "abs-bmo": _run_abs_bmo,
-    }[args.check]
-    trials = 20 if args.trials is None else args.trials
-    reports, ok = runner(config, trials, args.seed or 0)
-    summary = {"check": args.check, "trials": trials, "seed": args.seed or 0,
-               "passed": ok}
-    _emit_lines(reports, summary, args)
-    return EXIT_OK if ok else EXIT_FAIL
+        return [*report["records"], {"summary": summary}]
+    run_trial, depth, verdict = _CHECKS[check]
+    grid = _config_grid(config, ProductGrid((1, 1), (depth, depth)))
+    alpha = config.get("parameters", {}).get("alpha", 0.25)
+    trials = 20 if trials is None else trials
+    rng = np.random.default_rng(seed or 0)
+    reports = [dict(run_trial(grid, rng, alpha), trial=t) for t in range(trials)]
+    summary = {"check": check, "trials": trials, "seed": seed or 0,
+               "passed": all(r[verdict] for r in reports)}
+    return [*reports, {"summary": summary}]
 
 
-@functools.cache
-def _spec_validator():
-    """The experiment schema's validator; the schema itself is checked once."""
-    schema = json.loads(resources.files("dyadichardy").joinpath("schemas", SCHEMA_NAME).read_text())
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+COMMANDS = {
+    "generate": cmd_generate,
+    "decompose": cmd_decompose,
+    "norms": cmd_norms,
+    "maximal": cmd_maximal,
+    "tau": cmd_tau,
+    "verify": cmd_verify,
+    "demo": functools.partial(cmd_verify, "theorem"),
+}
 
 
-def cmd_run(args) -> int:
-    spec = _load_json_file(args.spec)
-    error = jsonschema.exceptions.best_match(_spec_validator().iter_errors(spec))
-    if error is not None:
-        print(f"error: spec failed schema validation: {error.message}", file=sys.stderr)
-        return EXIT_USAGE
-    temp_paths = []
-    try:
-        return _dispatch_spec(spec, temp_paths)
-    finally:
-        for path in temp_paths:
-            os.unlink(path)
+# ------------------------------------------------------------------ run --spec
 
-
-def _spec_input(spec: dict, name: str, grid: ProductGrid | None):
-    entry = spec.get("inputs", {}).get(name)
-    if entry is None:
-        raise GridError(f"spec is missing input {name!r}")
+def _spec_input(name: str, entry: dict, grid: ProductGrid | None):
+    """A spec input, read from its file or generated on the spec's grid,
+    built by the same from_dict as the value of its flag."""
+    if name not in _FROM_DICT:
+        raise GridError(f"spec key inputs.{name} names no input")
     if "path" in entry:
-        return _load_json_file(entry["path"])
-    if grid is None:
+        data = _load_json_file(entry["path"])
+    elif grid is None:
         raise GridError("generator inputs need a grid in the spec")
-    return generators.generate(
-        entry["kind"], grid, entry.get("params"), seed=entry.get("seed", 0)
-    ).to_dict()
+    else:
+        data = generators.generate(
+            entry["kind"], grid, entry.get("params"), seed=entry.get("seed", 0)
+        ).to_dict()
+    return _FROM_DICT[name](data)
 
 
-def _dispatch_spec(spec: dict, temp_paths: list) -> int:
-    """Translate a validated spec into the equivalent flag invocation.
+def _spec_call(spec):
+    """The handler a spec names, its keyword arguments and output options.
 
-    Inputs go through temporary JSON files, listed in `temp_paths` for the
-    caller to remove once the dispatched command returns."""
-    params = spec.get("parameters", {})
-    out = spec.get("output", {})
-    argv = [spec["command"]]
-    if "subcommand" in spec:
-        argv.append(spec["subcommand"])
-    grid = ProductGrid.from_dict(spec["grid"]) if "grid" in spec else None
-
-    def add_file(flag, data):
-        tmp = tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False, prefix="dyadichardy-"
-        )
-        temp_paths.append(tmp.name)
-        json.dump(data, tmp)
-        tmp.close()
-        argv.extend([flag, tmp.name])
-
+    A key the handler does not take is an error, never silently dropped."""
+    _validate(spec, "spec")
     command = spec["command"]
-    if command == "generate":
-        argv.extend(["--kind", params["kind"], "--grid", json.dumps(spec["grid"])])
-    elif command in ("decompose", "norms", "maximal"):
-        add_file("--input", _spec_input(spec, "f", grid))
-    elif command == "tau":
-        add_file("--set", _spec_input(spec, "E", grid))
-    elif command in ("verify", "demo"):
-        add_file("--config", {"grid": spec.get("grid"), "parameters": params} if grid
-                 else {"parameters": params})
-    flag_map = {
-        "alpha": "--alpha", "delta": "--delta", "eta": "--eta",
-        "epsilon": "--epsilon", "c": "--c", "p": "--p",
-        "restarts": "--restarts", "cap_cells": "--cap-cells",
-        "cap": "--cap", "trials": "--trials", "seed": "--seed",
-        "iter": "--iter", "tol": "--tol", "kmax": "--kmax",
-        "rect_class": "--rect-class",
-    }
-    skip = {"kind", "generator", "horizon"}
+    handler = COMMANDS[command]
+    grid = ProductGrid.from_dict(spec["grid"]) if "grid" in spec else None
+    params = dict(spec.get("parameters", {}))
+    named = []  # (spec key, handler parameter, value)
     if command in ("verify", "demo"):
-        skip |= {"alpha", "delta", "eta", "epsilon"}
-    for key, flag in flag_map.items():
-        if key in params and key not in skip:
-            argv.extend([flag, str(params[key])])
-    for key in ("exact", "include_mean"):
-        if params.get(key):
-            argv.append("--" + key.replace("_", "-"))
-    if "shift" in params:
-        argv.extend(["--shift", ",".join(str(s) for s in params["shift"])])
-    if "path" in out:
-        argv.extend(["--output", out["path"]])
-    if "format" in out:
-        argv.extend(["--format", out["format"]])
-    return main(argv)
+        config = {"parameters": {k: params.pop(k) for k in CONFIG_KEYS if k in params}}
+        if grid is not None:
+            config["grid"] = spec["grid"]
+        named.append(("grid", "config", config))
+    elif command == "generate" and grid is not None:
+        named.append(("grid", "grid", grid))
+    named += [(f"parameters.{k}", k, v) for k, v in params.items()]
+    named += [(f"inputs.{k}", k, _spec_input(k, entry, grid))
+              for k, entry in spec.get("inputs", {}).items()]
+    signature = inspect.signature(handler)
+    kwargs = {}
+    for key, name, value in named:
+        if name not in signature.parameters or name in kwargs:
+            raise GridError(f"{command} does not take the spec key {key}")
+        kwargs[name] = value
+    try:
+        positional = [spec["subcommand"]] if "subcommand" in spec else []
+        bound = signature.bind(*positional, **kwargs)
+    except TypeError as exc:
+        raise GridError(f"spec does not fit {command}: {exc}") from None
+    output = spec.get("output", {})
+    return handler, bound.arguments, {"output": output.get("path"),
+                                      "format": output.get("format", "json")}
 
 
 # -------------------------------------------------------------------- parser
 
 def _add_common(p):
     p.add_argument("--output", help="also write the report to this path")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--seed", type=int)  # None: 0, or the theorem config's seed
+    p.add_argument("--format", choices=["json", "csv"])
+    p.add_argument("--seed", type=int)  # absent: 0, or the theorem config's seed
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every call."""
+    """The argument parser, built on first use and shared by every call.
+
+    Only the flags given reach the namespace; the defaults are the
+    handlers'.  `--input` and `--set` are stored under the spec's input
+    names `f` and `E`."""
     parser = argparse.ArgumentParser(
         prog="dyadichardy",
         description="Dyadic product-grid Hardy space toolkit",
+        argument_default=argparse.SUPPRESS,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="emit a built-in test function or mask")
+    def command(name, help_text):
+        return sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+
+    p = command("generate", "emit a built-in test function or mask")
     p.add_argument("--kind", required=True)
     p.add_argument("--grid", required=True, help="inline JSON descriptor or path")
     p.add_argument("--params", help="generator parameters as inline JSON")
     _add_common(p)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("decompose", help="full martingale difference decomposition")
-    p.add_argument("--input", required=True)
+    p = command("decompose", "full martingale difference decomposition")
+    p.add_argument("--input", dest="f", metavar="INPUT", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("norms", help="norm engines")
+    p = command("norms", "norm engines")
     p.add_argument("quantity", choices=["sf", "h1", "bmo-little", "bmo-dyadic"])
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", dest="f", metavar="INPUT", required=True)
     p.add_argument("--exact", action="store_true",
                    help="bmo-dyadic by the bit-mask oracle (cell-capped; "
                         "default: the exact min-cut engine)")
-    p.add_argument("--restarts", type=int, default=12,
+    p.add_argument("--restarts", type=int,
                    help="accepted for compatibility and unused, like --seed here: "
                         "bmo-dyadic has no random engine")
     p.add_argument("--cap", type=float, help="rectangle size cap alpha")
@@ -506,59 +462,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=lambda s: [int(x) for x in s.split(",")],
                    help="comma-separated whole-cell lattice shift per axis "
                         "(min-cut engine only)")
-    p.add_argument("--p", type=int, choices=[1, 2], default=2)
-    p.add_argument("--rect-class", choices=["dyadic", "aligned"], default="aligned")
+    p.add_argument("--p", type=int, choices=[1, 2])
+    p.add_argument("--rect-class", choices=["dyadic", "aligned"])
     p.add_argument("--include-mean", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_norms)
 
-    p = sub.add_parser("maximal", help="strong maximal function iterates")
-    p.add_argument("--input", required=True)
-    p.add_argument("--iter", type=int, default=1)
+    p = command("maximal", "strong maximal function iterates")
+    p.add_argument("--input", dest="f", metavar="INPUT", required=True)
+    p.add_argument("--iter", type=int)
     p.add_argument("--check-a1", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_maximal)
 
-    p = sub.add_parser("tau", help="A1-weight cutoff construction")
-    p.add_argument("--set", required=True, help="mask JSON for the set E")
+    p = command("tau", "A1-weight cutoff construction")
+    p.add_argument("--set", dest="E", metavar="SET", required=True,
+                   help="mask JSON for the set E")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--c", type=float)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--kmax", type=int, default=60)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--kmax", type=int)
     _add_common(p)
-    p.set_defaults(func=cmd_tau)
 
     for name, help_text in (
         ("verify", "certify an inequality over randomized trials"),
         ("demo", "alias for `verify theorem`"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = command(name, help_text)
         if name == "verify":
-            p.add_argument("check",
-                           choices=["lemma-a", "split", "lemma-b", "abs-bmo", "theorem"])
-        else:
-            p.set_defaults(check="theorem")
+            p.add_argument("check", choices=[*_CHECKS, "theorem"])
         p.add_argument("--config", help="run configuration JSON")
         p.add_argument("--trials", type=int)
         _add_common(p)
-        p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("run", help="execute a schema-validated experiment spec")
+    p = command("run", "execute a schema-validated experiment spec")
     p.add_argument("--spec", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_run)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        command = args.pop("command")
+        if command == "run":  # its own --output, --format and --seed are unused
+            handler, args, out = _spec_call(_load_json_file(args["spec"]))
+        else:
+            handler = COMMANDS[command]
+            out = {key: args.pop(key) for key in ("output", "format") if key in args}
+            for name, from_dict in _FROM_DICT.items():
+                if name in args:
+                    args[name] = from_dict(_read_json(args[name]))
+        report = handler(**args)
+        _emit(report, **out)
+        if isinstance(report, list) and not report[-1]["summary"]["passed"]:
+            return EXIT_FAIL
+        return EXIT_OK
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

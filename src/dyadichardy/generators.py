@@ -228,8 +228,15 @@ def cell_mask(grid: ProductGrid, indices) -> OpenSetMask:
 
 
 def generate(kind: str, grid: ProductGrid, params: dict | None = None, seed: int = 0):
-    """Dispatch by generator kind; returns a GridFunction or OpenSetMask."""
-    params = dict(params or {})
+    """Dispatch by generator kind; returns a GridFunction or OpenSetMask.
+    An unknown kind or a parameter of the wrong type raises GridError."""
+    try:
+        return _generate(kind, grid, dict(params or {}), seed)
+    except TypeError as exc:
+        raise GridError(f"generator {kind!r}: {exc}") from None
+
+
+def _generate(kind: str, grid: ProductGrid, params: dict, seed: int):
     if kind == "constant":
         return constant(grid, params.get("value", 1.0))
     if kind == "haar-atom":

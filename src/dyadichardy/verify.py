@@ -300,7 +300,6 @@ class TheoremRunConfig:
     horizon: int = 8
     seed: int = 0
     search_restarts: int = 4
-    phi_width: float = 0.8
 
     def __post_init__(self):
         for name in ("epsilon", "eta", "alpha", "delta"):
@@ -319,10 +318,7 @@ def theorem_demo(config: TheoremRunConfig) -> dict:
     + |int f_n phi tau|.
     """
     grid = config.grid
-    if config.generator == "l1-spike":
-        phi = generators.smooth_bump(grid, width=config.phi_width, gradient_bound=False)
-    else:
-        phi = generators.smooth_bump(grid, width=config.phi_width, gradient_bound=True)
+    phi = generators.smooth_bump(grid, gradient_bound=config.generator != "l1-spike")
     phi_support = OpenSetMask(grid, phi.values != 0.0)
     records = []
     x0 = generators.spike_point_cell(grid)

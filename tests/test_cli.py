@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, determinism, schema gate."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -169,9 +170,24 @@ def test_run_spec_leaves_no_temp_files(tmp_path, monkeypatch, capsys):
         "inputs": {"f": {"kind": "haar-atom"}},
     }))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+    def no_files(*args, **kwargs):
+        raise AssertionError("run --spec created a temporary file")
+
+    monkeypatch.setattr(tempfile, "NamedTemporaryFile", no_files)
+    monkeypatch.setattr(tempfile, "mkstemp", no_files)
+    calls = []
+    main = cli.main
+
+    def counting_main(argv=None):
+        calls.append(argv)
+        return main(argv)
+
+    monkeypatch.setattr(cli, "main", counting_main)
     assert cli.main(["run", "--spec", str(spec)]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.0)
     assert not list(tmp_path.glob("dyadichardy-*.json"))
+    assert len(calls) == 1  # the handler is called directly, not through main again
 
 
 @pytest.mark.parametrize("bad, quantity", [
@@ -398,3 +414,202 @@ def test_cli_builds_one_parser_and_one_schema_validator(tmp_path, capsys, monkey
     assert built > 0 and len(schema_reads) == 1
     assert _main_stdout(capsys, ["run", "--spec", str(spec)]) == first
     assert (len(parsers), len(schema_reads)) == (built, 1)
+
+
+@pytest.mark.parametrize("config, command", [
+    ([1], ["verify", "split", "--trials", "1"]),
+    ({"parameters": {"horizon": "x"}}, ["demo"]),
+    ({"parameters": {"alpha": "0.25"}}, ["verify", "lemma-b", "--trials", "1"]),
+    ({"parameters": {"factor": 1}}, ["verify", "lemma-a", "--trials", "1"]),
+], ids=["list", "horizon-string", "alpha-string", "factor"])
+def test_malformed_config_exit_1(tmp_path, capsys, config, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    from dyadichardy import cli
+    assert cli.main([*command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "config failed schema validation" in err
+
+
+@pytest.mark.parametrize("check", ["lemma-a", "split", "lemma-b", "abs-bmo"])
+def test_config_with_grid_and_alpha_passes(tmp_path, capsys, check):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid": {"factor_dims": [1, 2], "depths": [2, 1]},
+                                "parameters": {"alpha": 0.25}}))
+    code, out = _main_stdout(capsys, ["verify", check, "--config", str(path), "--trials", "2"])
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["summary"]["passed"] is True
+
+
+def test_run_spec_factor_rejected(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "schema": "experiment-v1", "command": "verify", "subcommand": "lemma-a",
+        "parameters": {"trials": 1, "factor": 1}}))
+    code, out = _main_stdout(capsys, ["run", "--spec", str(spec)])
+    assert code == 1
+    assert out == ""
+
+
+def _schema_parameters():
+    from importlib import resources
+    text = resources.files("dyadichardy").joinpath("schemas", "experiment-v1.schema.json").read_text()
+    return sorted(json.loads(text)["properties"]["parameters"]["properties"])
+
+
+# One schema-valid value per spec parameter; a new schema key needs one here.
+PARAMETER_VALUES = {
+    "alpha": 0.25, "delta": 0.5, "eta": 0.01, "epsilon": 0.01, "c": 0.5, "tol": 1e-6,
+    "kmax": 30, "p": 1, "restarts": 3, "cap_cells": 64, "cap": 0.25, "trials": 2,
+    "seed": 3, "iter": 2, "shift": [1, 1], "horizon": 1, "generator": "l1-spike",
+    "exact": True, "rect_class": "dyadic", "include_mean": True, "kind": "constant",
+}
+SPEC_TARGETS = [
+    ("generate", None), ("decompose", None), ("norms", "sf"), ("norms", "h1"),
+    ("norms", "bmo-little"), ("norms", "bmo-dyadic"), ("maximal", None), ("tau", None),
+    ("verify", "lemma-a"), ("verify", "split"), ("verify", "lemma-b"),
+    ("verify", "abs-bmo"), ("verify", "theorem"), ("demo", None),
+]
+
+
+def _flag(key, value):
+    if value is True:
+        return ["--" + key.replace("_", "-")]
+    if isinstance(value, list):
+        value = ",".join(map(str, value))
+    return ["--" + key.replace("_", "-"), str(value)]
+
+
+def _spec_and_flags(tmp_path, command, sub, key):
+    """A spec that sets `key` on a small base case, and the flag invocation
+    that asks for the same run."""
+    from dyadichardy import ProductGrid, generators
+    grid = {"factor_dims": [1, 1], "depths": [2, 2]}
+    spec = {"schema": "experiment-v1", "command": command, "grid": grid}
+    argv = [command] + ([sub] if sub else [])
+    if sub:
+        spec["subcommand"] = sub
+    if command == "generate":
+        params = {"kind": "random-uniform"}
+        argv += ["--grid", json.dumps(grid)]
+    elif command == "tau":
+        params = {"delta": 0.25}
+        mask = tmp_path / "E.json"
+        mask.write_text(json.dumps(generators.cell_mask(ProductGrid((1, 1), (2, 2)), [0, 1]).to_dict()))
+        spec["inputs"] = {"E": {"path": str(mask)}}
+        argv += ["--set", str(mask)]
+    elif command in ("verify", "demo"):
+        params = {"horizon": 1} if sub in (None, "theorem") else {"trials": 1}
+    else:
+        params = {}
+        path = _write_function(tmp_path, (1, 1), (2, 2), 1)
+        spec["inputs"] = {"f": {"path": path}}
+        argv += ["--input", path]
+    params[key] = PARAMETER_VALUES[key]
+    spec["parameters"] = params
+    if command in ("verify", "demo"):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": grid, "parameters": {
+            k: v for k, v in params.items() if k not in ("trials", "seed")}}))
+        argv += ["--config", str(config)]
+        params = {k: v for k, v in params.items() if k in ("trials", "seed")}
+    for k, v in params.items():
+        argv += _flag(k, v)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path), argv
+
+
+@pytest.mark.parametrize("key", _schema_parameters())
+@pytest.mark.parametrize("command, sub", SPEC_TARGETS)
+def test_every_spec_parameter_is_honoured_or_rejected(tmp_path, capsys, command, sub, key):
+    from dyadichardy import cli
+    spec, argv = _spec_and_flags(tmp_path, command, sub, key)
+    code = cli.main(["run", "--spec", spec])
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert out == "" and f"parameters.{key}" in err
+    else:
+        assert (code, out) == _main_stdout(capsys, argv)
+
+
+# sha256 of stdout and the exit code of `run --spec` for each spec below, and
+# of `--help` for the program and each command, recorded before `run --spec`
+# stopped translating specs into flags and temporary files.
+PINNED_GRID_16 = {"factor_dims": [1, 1], "depths": [2, 2]}
+PINNED_GRID_64 = {"factor_dims": [1, 1], "depths": [3, 3]}
+PINNED_SPECS = {
+    "norms h1 generated": {"command": "norms", "subcommand": "h1", "grid": PINNED_GRID_64,
+                           "inputs": {"f": {"kind": "random-uniform", "seed": 11}}},
+    "norms sf path": {"command": "norms", "subcommand": "sf",
+                      "inputs": {"f": {"path": "f.json"}}},
+    "decompose path": {"command": "decompose", "inputs": {"f": {"path": "f.json"}}},
+    "verify lemma-a": {"command": "verify", "subcommand": "lemma-a", "grid": PINNED_GRID_16,
+                       "parameters": {"trials": 2, "seed": 3}},
+    "verify split": {"command": "verify", "subcommand": "split", "grid": PINNED_GRID_64,
+                     "parameters": {"trials": 2, "seed": 4, "alpha": 0.25}},
+    "maximal generated": {"command": "maximal", "grid": PINNED_GRID_64,
+                          "inputs": {"f": {"kind": "random-uniform", "seed": 5}},
+                          "parameters": {"iter": 1}},
+    "norms bmo-little smooth-bump": {"command": "norms", "subcommand": "bmo-little",
+                                     "grid": PINNED_GRID_64,
+                                     "inputs": {"f": {"kind": "smooth-bump"}},
+                                     "parameters": {"p": 2}},
+    "tau": {"command": "tau", "grid": PINNED_GRID_64,
+            "inputs": {"E": {"kind": "cell-mask", "params": {"cells": [9, 10, 17, 18]}}},
+            "parameters": {"delta": 0.5}},
+    "generate": {"command": "generate", "grid": PINNED_GRID_16,
+                 "parameters": {"kind": "random-uniform", "seed": 6}},
+    "demo": {"command": "demo", "grid": PINNED_GRID_16, "parameters": {"horizon": 1}},
+    "verify lemma-b": {"command": "verify", "subcommand": "lemma-b", "grid": PINNED_GRID_16,
+                       "parameters": {"trials": 2, "seed": 7, "alpha": 0.25}},
+    "verify abs-bmo": {"command": "verify", "subcommand": "abs-bmo", "grid": PINNED_GRID_16,
+                       "parameters": {"trials": 2, "seed": 8}},
+}
+PINNED_SPEC_DIGESTS = {
+    "norms h1 generated": (0, "58e9e4178b35e4c0740317432b6bd2b028d34e400834cad99f620c67dac428a5"),
+    "norms sf path": (0, "ccf65d2e5dc60b91bd15155fcf007dad1064998291bf8e22072111093b84dbca"),
+    "decompose path": (0, "a71476c682bb57bb1277b1c336951050387e16af1afee06962134bb007f61036"),
+    "verify lemma-a": (0, "e3b2213e0f6f8bf9d0e2a0e2761d9afc42d2cfc4bee4db30eecefd492ba6b671"),
+    "verify split": (0, "c41d58d9d9c4c7e2eb6086f10e6dc838eb429a7af41bf27fbd3b37a955d49185"),
+    "maximal generated": (0, "595c48837a4d0cd90d60186f0b83573644341672d6d40f834fa67252d1e32072"),
+    "norms bmo-little smooth-bump": (0, "6875d82ba150ae7e3988d6deceb5d4a12d14196ad0a19a1a31712cb651ecc390"),
+    "tau": (0, "3ba6d5ff7462f0f08550d9af775b10581484a8025952d95d6daa0c41621aab30"),
+    "generate": (0, "5c1b6dce8965094ea945d5797736da0fb59392ffa97d599bed3be8b1945d42ac"),
+    "demo": (2, "a6b04346e2a3ddc6867944570be62887dc82dd938d83cf629eaaca2507e038bc"),
+    "verify lemma-b": (0, "09ad4431f76bbe62e807148df479e648b44a1979b3436c3b08174884327bcdce"),
+    "verify abs-bmo": (0, "e35bb962bbed2b7eb4011dfa960e70f6b85120ea3610948a3be43f5d489a9721"),
+}
+PINNED_HELP_DIGESTS = {
+    "": "c30e9ce7c7a874c0d441c64ca9cbc01c48f3764603d0e95c3cb078a40a586c0d",
+    "generate": "76ba11eecb0335a5578a794a2ff36f4d20a3d8e463ee956a921bb8f38ee40a1c",
+    "decompose": "e7a9ea4d9b63162e5d679055c380e323c2e847a35488403df69d9f6c5a27ac15",
+    "norms": "e9be647dfe27774985e47e47489c116cb010a448fcfe5202db06ff2da9c397e7",
+    "maximal": "50b280d1580a913bdf8c405ff58bc1bb9981653435834d5393dbe460345f09b4",
+    "tau": "5c685e63ef717676cd02e877c15f90c16913fa0ae8179d842a3a6de150cefe7d",
+    "verify": "ea192fce1f949bc2485b1860afe59489c4a8999afd68b14b7c8c33299c986512",
+    "demo": "c2af102c00419801a7a174bb9315fd56e24cbde02e2034cc8326ceb6539ef4fc",
+    "run": "8f2040464210d6b2772b00e886ed89b6ea85565b0c76af9a286e0765d59a7f48",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SPECS)
+def test_run_spec_stdout_digests(tmp_path, capsys, name):
+    f = _write_function(tmp_path, (1, 2), (3, 2), 12)
+    spec = json.loads(json.dumps(dict(PINNED_SPECS[name], schema="experiment-v1"))
+                      .replace('"f.json"', json.dumps(f)))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out = _main_stdout(capsys, ["run", "--spec", str(path)])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_SPEC_DIGESTS[name]
+
+
+# argparse lays help out differently across Python versions; the digests
+# were recorded with Python 3.11, the version CI runs.
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help digests are for Python 3.11")
+@pytest.mark.parametrize("command", PINNED_HELP_DIGESTS)
+def test_help_digests(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = _main_stdout(capsys, [command, "--help"] if command else ["--help"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HELP_DIGESTS[command]
