@@ -424,18 +424,20 @@ def _add_common(p):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call.
 
-    Only the flags given reach the namespace; the defaults are the
-    handlers'.  `--input` and `--set` are stored under the spec's input
-    names `f` and `E`."""
+    Only the flags given, by their full names, reach the namespace; the
+    defaults are the handlers'.  `--input` and `--set` are stored under
+    the spec's input names `f` and `E`."""
     parser = argparse.ArgumentParser(
         prog="dyadichardy",
         description="Dyadic product-grid Hardy space toolkit",
         argument_default=argparse.SUPPRESS,
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help_text):
-        return sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        return sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS,
+                              allow_abbrev=False)
 
     p = command("generate", "emit a built-in test function or mask")
     p.add_argument("--kind", required=True)
@@ -494,8 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
 
     p = command("run", "execute a schema-validated experiment spec")
-    p.add_argument("--spec", required=True)
-    _add_common(p)
+    p.add_argument("--spec", required=True)  # output options come from the spec
 
     return parser
 
@@ -507,7 +508,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         command = args.pop("command")
-        if command == "run":  # its own --output, --format and --seed are unused
+        if command == "run":
             handler, args, out = _spec_call(_load_json_file(args["spec"]))
         else:
             handler = COMMANDS[command]

@@ -54,13 +54,30 @@ def strong_maximal_naive(f: GridFunction) -> GridFunction:
     return GridFunction(grid, out)
 
 
+def _maximal_iterates(f: GridFunction):
+    """Yield (M^(k) f, strong_maximal calls made so far) for k = 0, 1, 2, ...
+
+    strong_maximal is a pure function, so once an iterate equals its
+    predecessor bit for bit, every later iterate is that same array: the
+    stream then yields it again and calls strong_maximal no more.
+    """
+    calls = 0
+    g = f
+    yield g, calls
+    while True:
+        nxt = strong_maximal(g)
+        calls += 1
+        if nxt.values.dtype == g.values.dtype and nxt.values.tobytes() == g.values.tobytes():
+            yield from itertools.repeat((nxt, calls))
+        yield nxt, calls
+        g = nxt
+
+
 def iterate_maximal(f: GridFunction, k: int) -> GridFunction:
     """k-fold iterate M^(k) f; k=0 is the identity."""
     if k < 0:
         raise GridError("iteration count must be >= 0")
-    g = f
-    for _ in range(k):
-        g = strong_maximal(g)
+    g, _ = next(itertools.islice(_maximal_iterates(f), k, None))
     return g
 
 
@@ -106,12 +123,15 @@ def a1_weight(E: OpenSetMask, params: TauParams):
 
     Returns (m, diagnostics).  m = 1 on E exactly (the numerator and K
     accumulate bitwise-identical term sequences there); 0 < m <= 1 up to
-    rounding everywhere.
+    rounding everywhere.  diagnostics["maximal_calls"] counts the
+    strong_maximal calls run, which stop at a fixed point of the iterates.
     """
     grid = E.grid
     if E.is_empty:
         raise GridError("A1 weight needs |E| > 0")
     chi = E.cells.astype(np.float64)
+    stream = _maximal_iterates(GridFunction(grid, chi))
+    _, calls = next(stream)  # M^(0) chi = chi, before any call
     iterates = [chi]
     l2s = [float(np.sqrt((chi * chi).sum() * grid.cell_volume))]
     linfs = [1.0]
@@ -123,7 +143,8 @@ def a1_weight(E: OpenSetMask, params: TauParams):
     while True:
         if c ** k * linfs[-1] < params.tol or k >= params.kmax:
             break
-        g = strong_maximal(GridFunction(grid, iterates[-1])).values
+        gf, calls = next(stream)
+        g = gf.values
         iterates.append(g)
         l2 = float(np.sqrt((g * g).sum() * grid.cell_volume))
         ratio = l2 / l2s[-1]
@@ -157,6 +178,7 @@ def a1_weight(E: OpenSetMask, params: TauParams):
         "linf_norms": linfs,
         "m_l2": float(np.sqrt((m * m).sum() * grid.cell_volume)),
         "E_measure": E.measure,
+        "maximal_calls": calls,
     }
     return GridFunction(grid, m), diagnostics
 

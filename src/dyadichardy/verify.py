@@ -323,6 +323,7 @@ def theorem_demo(config: TheoremRunConfig) -> dict:
     records = []
     x0 = generators.spike_point_cell(grid)
     phi_x0 = float(phi.values[x0])
+    cutoffs = {}  # one tau_build per distinct E_n, keyed by its cell bytes
     for n in range(config.horizon + 1):
         if config.generator == "h1-bounded":
             f_n, f = generators.h1_bounded_sequence(grid, n)
@@ -344,7 +345,10 @@ def theorem_demo(config: TheoremRunConfig) -> dict:
             "h1_f_n": h1_norm(f_n),
         }
         if not e_n.is_empty:
-            report = tau_build(e_n, TauParams(delta=config.delta))
+            key = e_n.cells.tobytes()
+            if key not in cutoffs:
+                cutoffs[key] = tau_build(e_n, TauParams(delta=config.delta))
+            report = cutoffs[key]
             tau = report.tau
             record["tau_support"] = report.support_measure
             record["tau_bmo"] = report.bmo_norm_measured

@@ -1,7 +1,8 @@
 """Per-box loops that the array oscillation kernel replaced, kept as test
 oracles (every box is sliced out of the value array and reduced with
-`.mean()`, and the first maximum wins on a strict `>`), and the data they
-are compared on."""
+`.mean()`, and the first maximum wins on a strict `>`), the data they
+are compared on, and the A1-weight series loop that recomputes every
+maximal iterate."""
 
 import itertools
 import math
@@ -9,7 +10,9 @@ import math
 import numpy as np
 
 from dyadichardy import DyadicRectangle, GridFunction, OscResult
+from dyadichardy.errors import ContractionError, GridError
 from dyadichardy.grid import _factor_cubes
+from dyadichardy.maximal import strong_maximal
 from dyadichardy.verify import PASS_TOL, InequalityReport
 from dyadichardy.windows import AlignedBox, axis_sides, iter_shapes
 
@@ -94,3 +97,59 @@ def check_abs_bmo_oracle(f, g):
             "max_bound": max_bound,
         },
     )
+
+
+def a1_weight_oracle(E, params):
+    """a1_weight with one strong_maximal call per series term, even past a
+    fixed point of the iterates."""
+    grid = E.grid
+    if E.is_empty:
+        raise GridError("A1 weight needs |E| > 0")
+    chi = E.cells.astype(np.float64)
+    iterates = [chi]
+    l2s = [float(np.sqrt((chi * chi).sum() * grid.cell_volume))]
+    linfs = [1.0]
+    ratios = []
+    adaptive = params.c is None
+    c = 0.5 if adaptive else params.c
+    violations = 0
+    k = 0
+    while True:
+        if c ** k * linfs[-1] < params.tol or k >= params.kmax:
+            break
+        g = strong_maximal(GridFunction(grid, iterates[-1])).values
+        iterates.append(g)
+        l2 = float(np.sqrt((g * g).sum() * grid.cell_volume))
+        ratio = l2 / l2s[-1]
+        ratios.append(ratio)
+        l2s.append(l2)
+        linfs.append(float(g.max()))
+        if adaptive:
+            while c * ratio > params.q:
+                c /= 2.0
+        elif c * ratio > params.q:
+            violations += 1
+            if violations >= 3:
+                raise ContractionError(
+                    f"series ratio c={c} fails the contraction target q={params.q} "
+                    f"(measured L2 ratio {ratio:.4g}); lower c"
+                )
+        k += 1
+    acc = np.zeros(grid.shape)
+    K = 0.0
+    ck = 1.0
+    for g in iterates:
+        acc += ck * g
+        K += ck
+        ck *= c
+    m = acc / K
+    diagnostics = {
+        "terms_used": len(iterates),
+        "c": c,
+        "contraction_ratios": ratios,
+        "l2_norms": l2s,
+        "linf_norms": linfs,
+        "m_l2": float(np.sqrt((m * m).sum() * grid.cell_volume)),
+        "E_measure": E.measure,
+    }
+    return GridFunction(grid, m), diagnostics

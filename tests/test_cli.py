@@ -131,6 +131,34 @@ def test_run_spec_unknown_field_rejected(tmp_path):
     assert "schema" in res.stderr
 
 
+@pytest.mark.parametrize("flag", [["--output", "o.json"], ["--format", "csv"], ["--seed", "5"]])
+def test_run_rejects_output_flags(tmp_path, capsys, flag):
+    # output options come from the spec; run takes no flag but --spec
+    from dyadichardy import cli
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"schema": "experiment-v1", "command": "norms",
+                                "subcommand": "h1", "grid": {"factor_dims": [1], "depths": [2]},
+                                "inputs": {"f": {"kind": "haar-atom"}}}))
+    assert cli.main(["run", "--spec", str(spec), *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--p", "1", "--kind", "constant", "--grid", GRID_1D],
+     "unrecognized arguments: --p 1"),
+    (["generate", "--k", "constant", "--grid", GRID_1D], "required: --kind"),
+    (["generate", "--kind", "constant", "--gr", GRID_1D], "required: --grid"),
+])
+def test_flag_prefixes_rejected(argv, message):
+    # flags match by full name only: --p is not read as --params
+    res = run_cli(argv)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert message in res.stderr
+
+
 def test_generate_round_trip_bit_exact(tmp_path):
     out = tmp_path / "f.json"
     res = run_cli(["generate", "--kind", "random-uniform", "--grid", GRID_1D,
@@ -535,7 +563,8 @@ def test_every_spec_parameter_is_honoured_or_rejected(tmp_path, capsys, command,
 
 # sha256 of stdout and the exit code of `run --spec` for each spec below, and
 # of `--help` for the program and each command, recorded before `run --spec`
-# stopped translating specs into flags and temporary files.
+# stopped translating specs into flags and temporary files.  `run --help` was
+# re-recorded when `run` stopped taking --output, --format and --seed.
 PINNED_GRID_16 = {"factor_dims": [1, 1], "depths": [2, 2]}
 PINNED_GRID_64 = {"factor_dims": [1, 1], "depths": [3, 3]}
 PINNED_SPECS = {
@@ -589,7 +618,7 @@ PINNED_HELP_DIGESTS = {
     "tau": "5c685e63ef717676cd02e877c15f90c16913fa0ae8179d842a3a6de150cefe7d",
     "verify": "ea192fce1f949bc2485b1860afe59489c4a8999afd68b14b7c8c33299c986512",
     "demo": "c2af102c00419801a7a174bb9315fd56e24cbde02e2034cc8326ceb6539ef4fc",
-    "run": "8f2040464210d6b2772b00e886ed89b6ea85565b0c76af9a286e0765d59a7f48",
+    "run": "5fcb4aa8c651b2ebd895634b45a9435d8962deb1f90d5c34ebf1ae812c034a93",
 }
 
 

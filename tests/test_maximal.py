@@ -1,6 +1,7 @@
 """Strong maximal function, A1 weight series, and the bmo cutoff."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from dyadichardy import (
     strong_maximal_naive,
     tau_build,
 )
-from dyadichardy import generators
+from dyadichardy import generators, maximal
+from oracles import a1_weight_oracle
 
 
 def random_function(grid, seed):
@@ -142,6 +144,83 @@ def test_a1_weight_exact_on_E_long_interval():
     assert np.all(m.values[E.cells] == 1.0)
     assert np.all(m.values > 0)
     assert np.all(m.values <= 1.0 + 1e-14)
+
+
+def _spike_bad_set(n):
+    # E_n of theorem_demo's l1-spike route on (1,)x(6,), eta = 5e-3
+    grid = ProductGrid((1,), (6,))
+    phi = generators.smooth_bump(grid, gradient_bound=False)
+    f_n = generators.spike_sequence(grid, n)
+    return OpenSetMask(grid, (np.abs(f_n.values) > 5e-3) & (phi.values != 0.0))
+
+
+@pytest.fixture
+def maximal_calls(monkeypatch):
+    """Count the strong_maximal calls made through the module global."""
+    calls = []
+    inner = maximal.strong_maximal
+
+    def counting(f):
+        calls.append(1)
+        return inner(f)
+
+    monkeypatch.setattr(maximal, "strong_maximal", counting)
+    return calls
+
+
+# (set, params, whether its iterates reach a bitwise fixed point before the
+# series stops): the spike sets E_0..E_3 do, E_4 does not.
+A1_ORACLE_CASES = [
+    ("full", TauParams(delta=0.5), True),
+    ("full", TauParams(delta=0.5, c=0.25), True),
+    *((n, TauParams(delta=0.7), n < 4) for n in range(5)),
+    (2, TauParams(delta=0.7, c=0.5, tol=1e-12), True),
+]
+
+
+@pytest.mark.parametrize("which, params, fixed", A1_ORACLE_CASES)
+def test_a1_weight_matches_oracle_with_fewer_calls(maximal_calls, which, params, fixed):
+    E = OpenSetMask.full(ProductGrid((1,), (6,))) if which == "full" else _spike_bad_set(which)
+    m, diag = a1_weight(E, params)
+    calls = len(maximal_calls)
+    m_oracle, diag_oracle = a1_weight_oracle(E, params)
+    assert m.values.tobytes() == m_oracle.values.tobytes()
+    assert diag.pop("maximal_calls") == calls
+    assert diag == diag_oracle
+    oracle_calls = diag_oracle["terms_used"] - 1  # one call per term after chi
+    assert calls < oracle_calls if fixed else calls == oracle_calls
+
+
+def test_iterate_maximal_stops_at_fixed_point(maximal_calls):
+    # the package-level strong_maximal is not the patched module global
+    grid = ProductGrid((1,), (6,))
+    fixed = GridFunction(grid, np.full(grid.shape, 0.75))
+    assert iterate_maximal(fixed, 5).values.tobytes() == fixed.values.tobytes()
+    assert len(maximal_calls) == 1
+    g = generators.random_uniform(grid, seed=0)
+    expected = strong_maximal(strong_maximal(strong_maximal(g)))
+    maximal_calls.clear()
+    assert iterate_maximal(g, 3).values.tobytes() == expected.values.tobytes()
+    assert len(maximal_calls) == 3
+
+
+# sha256 of tau_build(E, TauParams(delta)) on criterion 7's E: the bytes of
+# tau and m, then json.dumps([terms_used, contraction_ratios, c_used]);
+# recorded before the maximal iterates stopped at a fixed point.
+TAU_BUILD_DIGESTS = {
+    0.5: "c3aedcfb1dd4349894d344d19516e25f2024896ca5a8acd02309a2e352f6ad6c",
+    0.25: "36894c0cdb4f4f6f0e286ed3d75de4bacecdf5728568a09ce5bac836d4ea9f53",
+    0.125: "d6e0a560bbd924d10d7017588cbd10ccd50b4b4af6f81fc3e4d75f9932867b63",
+}
+
+
+def test_tau_build_golden_digests():
+    E = OpenSetMask.from_cell_indices(ProductGrid((1, 1), (3, 3)), [0, 1, 8, 9])
+    for delta, digest in TAU_BUILD_DIGESTS.items():
+        rep = tau_build(E, TauParams(delta=delta))
+        data = (rep.tau.values.tobytes() + rep.m.values.tobytes()
+                + json.dumps([rep.terms_used, rep.contraction_ratios, rep.c_used]).encode())
+        assert hashlib.sha256(data).hexdigest() == digest, delta
 
 
 def test_a1_weight_empty_set_rejected():

@@ -252,3 +252,38 @@ def test_theorem_demo_spike_small_scale():
     # while the h1 norm blows up
     assert gaps[-1] >= 0.9 * abs(rep["phi_at_x0"])
     assert h1s[-1] / h1s[-2] >= 2.0
+
+
+# sha256 of json.dumps(theorem_demo(config), sort_keys=True), recorded before
+# the A1 iterates stopped at a fixed point and each distinct E_n got a single
+# tau_build; the spike route's iterates reach a fixed point on E_0..E_3.
+THEOREM_DEMO_DIGESTS = {
+    ("h1-bounded", (1, 1), (3, 3), 8):
+        "7a916f8a1c1061f7dcd13f5fb03e023b4f569f867d9f3b66dde3bca741515f39",
+    ("l1-spike", (1,), (6,), 4):
+        "1be02b6f800ffc63f00908052704a91f21d7826bb02eaf51518c93e365ad9855",
+}
+
+
+@pytest.mark.parametrize("generator, dims, depths, horizon", THEOREM_DEMO_DIGESTS)
+def test_theorem_demo_golden_digests(generator, dims, depths, horizon):
+    rep = theorem_demo(TheoremRunConfig(
+        grid=ProductGrid(dims, depths), generator=generator, horizon=horizon))
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == THEOREM_DEMO_DIGESTS[generator, dims, depths, horizon]
+
+
+def test_theorem_demo_one_cutoff_per_bad_set(monkeypatch):
+    from dyadichardy import verify
+    built = []
+    inner = verify.tau_build
+
+    def counting(E, params):
+        built.append(E.cells.tobytes())
+        return inner(E, params)
+
+    monkeypatch.setattr(verify, "tau_build", counting)
+    rep = theorem_demo(TheoremRunConfig(grid=ProductGrid((1, 1), (3, 3))))
+    assert len(built) == len(set(built))
+    nonempty = [r for r in rep["records"] if r["E_n_measure"] > 0]
+    assert len(built) < len(nonempty)
