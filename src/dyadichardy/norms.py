@@ -41,6 +41,9 @@ EXACT_MEMORY_CAP = 2 ** 30
 # flow and recomputed witness ratio grew the peak RSS by 0.9-1.3 KB per box
 # (16k to 131k boxes, Python 3.11, 64-bit), so the cap holds it near 250 MB.
 CUT_BOX_CAP = 200_000
+# Mean absolute oscillations over aligned boxes read every cell of every box;
+# refuse grids with more cell visits than this (about 7 ns a visit, so near 2 s).
+ALIGNED_VISIT_CAP = 1 << 28
 
 
 def square_function(f: GridFunction) -> GridFunction:
@@ -161,6 +164,12 @@ def _oscillations(boxes: np.ndarray, n: int, p: int) -> np.ndarray:
 def _aligned_oscillations(vals: np.ndarray, grid: ProductGrid):
     """(shape, osc) per aligned window shape in `iter_shapes` order, osc[starts]
     the mean absolute oscillation of the window at those starts."""
+    visits = math.prod(sum(((L - s + 1) * s) ** n for s in range(1, L + 1))
+                       for n, L in zip(grid.factor_dims, map(grid.axis_side, range(grid.d))))
+    if visits > ALIGNED_VISIT_CAP:
+        raise ResourceCapError(
+            f"p = 1 oscillations over aligned boxes visit {visits} cells, over the cap "
+            f"of {ALIGNED_VISIT_CAP}; use rect_class 'dyadic'")
     for shape in iter_shapes(grid):
         boxes = np.lib.stride_tricks.sliding_window_view(vals, axis_sides(grid, shape))
         yield shape, _oscillations(boxes, grid.n, 1)

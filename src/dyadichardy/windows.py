@@ -10,20 +10,22 @@ loops in Python over the sides of every factor but the last, carrying
 exact window sums (a zero-led cumulative sum per axis, differenced) that
 the later factors reuse.  The last factor is batched when it has one
 axis: from one prefix table along that axis, `last_factor_max` takes,
-per cell, the best average over all intervals containing it (a suffix
-max over interval ends, then a masked max over starts), and
-`iter_last_factor_means` stacks the window means of a run of sides for a
-shape-major, start-lexicographic argmax.  A last factor of cubes keeps a
-loop over its sides.  The work is O(cells x windows per cell); interval
-blocks are cut into chunks of about BLOCK elements, so the temporaries
-stay small whatever the grid.  A one-cell window takes the cell itself,
-not a difference of prefix sums, so every sum and mean is bit for bit
-what a per-shape pass computes.
+per cell, the best average over all intervals containing it (a sweep
+over blocks of starts with a running per-end max, so the suffix max over
+ends runs only inside each block), and `iter_last_factor_means` stacks
+the window means of a run of sides for a shape-major, start-lexicographic
+argmax.  A last factor of cubes keeps a loop over its sides.  The work is
+O(cells x windows per cell), the suffix max only O(L x block height) of
+it on an L-cell row; blocks hold at most a fixed multiple of BLOCK
+elements, so the temporaries stay small whatever the grid.  A one-cell
+window takes the cell itself, not a difference of prefix sums, so every
+sum and mean is bit for bit what a per-shape pass computes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +153,13 @@ def last_factor_max(sums: np.ndarray, count: int, n: int) -> np.ndarray:
 
     `sums` and `count` are as for `iter_last_factor_means`.  With n = 1,
     out[..., x] = max over a <= x <= e of sum(cells a..e) / (count (e - a + 1)),
-    computed on blocks of starts a: suffix max over the last cell e, then
-    the max over starts a <= x.
+    swept over blocks of starts a in [lo, hi).  Ends e >= hi cover every
+    cell from a to hi - 1, so their max over e (one column per start)
+    and their max over a (folded into `best`, one entry per end) leave
+    only the block's triangle e < hi to a suffix max over e, then a
+    masked max over a <= x.  `best` reaches later blocks through their
+    start lo, whose intervals cover every cell of the block.  A row that
+    fits in one block skips `best`.
     """
     if n > 1:
         out = np.full(sums.shape, -np.inf)
@@ -164,24 +171,32 @@ def last_factor_max(sums: np.ndarray, count: int, n: int) -> np.ndarray:
         return out
     L = sums.shape[-1]
     prefix = _prefix(sums, -1)
-    rows = sums.size // L
-    out = np.full(sums.shape, -np.inf)
-    lo = 0
-    while lo < L:
-        hi = min(L, lo + max(1, BLOCK // (rows * (L - lo))))
+    # h starts per block: the h x h triangle (the only part that pays for the
+    # suffix max) within BLOCK elements, the h x L block within 16 BLOCK.
+    h = max(1, min(L, math.isqrt(BLOCK // (sums.size // L)), 16 * BLOCK // sums.size))
+    k = np.arange(h)
+    length = np.arange(1.0, L + 1) - k[:, None]
+    before = length < 1  # cells x = lo + j before the start lo + k
+    np.maximum(length, 1, out=length)
+    length *= count
+    out = np.empty(sums.shape)
+    if h < L:
+        best = np.full(sums.shape, -np.inf)  # per end, the best mean over earlier starts
+    for lo in range(0, L, h):
+        hi = min(L, lo + h)
+        m = hi - lo
         # block[..., k, j]: the interval of cells lo + k .. lo + j
         block = prefix[..., None, lo + 1:] - prefix[..., lo:hi, None]
-        k = np.arange(hi - lo)
-        block[..., k, k] = sums[..., lo:hi]  # one-cell windows: the cell itself
-        length = np.arange(1.0, L - lo + 1) - k[:, None]
-        before = length < 1  # cells x = lo + j before the start lo + k
-        np.maximum(length, 1, out=length)
-        length *= count
-        block /= length
-        block = np.maximum.accumulate(block[..., ::-1], axis=-1)[..., ::-1]
-        np.copyto(block, -np.inf, where=before)
-        np.maximum(out[..., lo:], block.max(axis=-2), out=out[..., lo:])
-        lo = hi
+        block[..., k[:m], k[:m]] = sums[..., lo:hi]  # one-cell windows: the cell itself
+        block /= length[:m, :L - lo]
+        if lo:
+            np.maximum(block[..., 0, :], best[..., lo:], out=block[..., 0, :])
+        if hi < L:  # ends past the block: per end into best, per start into column m
+            np.maximum(best[..., hi:], block[..., m:].max(axis=-2), out=best[..., hi:])
+            block[..., m] = block[..., m:].max(axis=-1)
+        block = np.maximum.accumulate(block[..., :m + 1][..., ::-1], axis=-1)[..., ::-1]
+        np.copyto(block, -np.inf, where=before[:m, :block.shape[-1]])
+        out[..., lo:hi] = block[..., :m].max(axis=-2)
     return out
 
 

@@ -1,8 +1,9 @@
 """Per-box loops that the array oscillation kernel replaced, kept as test
 oracles (every box is sliced out of the value array and reduced with
 `.mean()`, and the first maximum wins on a strict `>`), the data they
-are compared on, and the A1-weight series loop that recomputes every
-maximal iterate."""
+are compared on, the A1-weight series loop that recomputes every
+maximal iterate, and the interval kernel that ran the suffix max over
+every start/end pair."""
 
 import itertools
 import math
@@ -14,7 +15,7 @@ from dyadichardy.errors import ContractionError, GridError
 from dyadichardy.grid import _factor_cubes
 from dyadichardy.maximal import strong_maximal
 from dyadichardy.verify import PASS_TOL, InequalityReport
-from dyadichardy.windows import AlignedBox, axis_sides, iter_shapes
+from dyadichardy.windows import BLOCK, AlignedBox, _prefix, axis_sides, iter_shapes
 
 
 def oracle_data(grid, kind, seed):
@@ -153,3 +154,29 @@ def a1_weight_oracle(E, params):
         "E_measure": E.measure,
     }
     return GridFunction(grid, m), diagnostics
+
+
+def last_factor_max_oracle(sums, count):
+    """windows.last_factor_max with n = 1: on each block of starts, the
+    suffix max over every end, then the masked max over starts."""
+    L = sums.shape[-1]
+    prefix = _prefix(sums, -1)
+    rows = sums.size // L
+    out = np.full(sums.shape, -np.inf)
+    lo = 0
+    while lo < L:
+        hi = min(L, lo + max(1, BLOCK // (rows * (L - lo))))
+        # block[..., k, j]: the interval of cells lo + k .. lo + j
+        block = prefix[..., None, lo + 1:] - prefix[..., lo:hi, None]
+        k = np.arange(hi - lo)
+        block[..., k, k] = sums[..., lo:hi]  # one-cell windows: the cell itself
+        length = np.arange(1.0, L - lo + 1) - k[:, None]
+        before = length < 1  # cells x = lo + j before the start lo + k
+        np.maximum(length, 1, out=length)
+        length *= count
+        block /= length
+        block = np.maximum.accumulate(block[..., ::-1], axis=-1)[..., ::-1]
+        np.copyto(block, -np.inf, where=before)
+        np.maximum(out[..., lo:], block.max(axis=-2), out=out[..., lo:])
+        lo = hi
+    return out

@@ -317,6 +317,21 @@ def test_bmo_dyadic_cut_box_cap_exit_3(tmp_path, capsys, flags):
     assert out == ""
 
 
+def test_aligned_p1_visit_cap_exit_3(tmp_path, capsys):
+    # One 4096-cell row: its aligned boxes hold 1.1e10 cells, over the cap, so
+    # both callers of the p = 1 aligned oscillations stop before any work.
+    import time
+    path = _write_function(tmp_path, (1,), (12,), 0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": {"factor_dims": [1], "depths": [12]}}))
+    for argv in (["norms", "bmo-little", "--input", path, "--p", "1"],
+                 ["verify", "abs-bmo", "--config", str(config), "--trials", "1"]):
+        start = time.perf_counter()
+        code, out = _main_stdout(capsys, argv)
+        assert (code, out) == (3, ""), argv
+        assert time.perf_counter() - start < 1.0, argv
+
+
 @pytest.mark.parametrize("parameters, flags", [
     ({"p": 1, "rect_class": "dyadic"}, ["bmo-little", "--p", "1", "--rect-class", "dyadic"]),
     ({"p": 2, "rect_class": "aligned"}, ["bmo-little", "--p", "2", "--rect-class", "aligned"]),

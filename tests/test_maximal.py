@@ -21,8 +21,8 @@ from dyadichardy import (
     strong_maximal_naive,
     tau_build,
 )
-from dyadichardy import generators, maximal
-from oracles import a1_weight_oracle
+from dyadichardy import generators, maximal, windows
+from oracles import a1_weight_oracle, last_factor_max_oracle
 
 
 def random_function(grid, seed):
@@ -105,6 +105,52 @@ def test_maximal_golden_digests():
         f = generators.random_uniform(ProductGrid(dims, depths), seed=k)
         values = strong_maximal(f).values
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest, (dims, depths)
+
+
+# The same digests on rows long enough that the interval kernel cuts them into
+# many blocks of starts (one 4096-cell row; 4 x 512 cells), recorded from the
+# kernel that ran the suffix max over every start/end pair.
+LONG_ROW_MAXIMAL_DIGESTS = {
+    ((1,), (12,)): "64e533519de2b1bfe7ff2a7aa353fda5506bb36a30564a474511aa7e843a1675",
+    ((1, 1), (2, 9)): "547daeaf3cae22fde3314265d5e9b96840a48564adbcbfddd4228e7c7d5bfe5d",
+}
+
+
+def test_maximal_long_row_golden_digests():
+    for k, ((dims, depths), digest) in enumerate(LONG_ROW_MAXIMAL_DIGESTS.items()):
+        f = generators.random_uniform(ProductGrid(dims, depths), seed=k)
+        values = strong_maximal(f).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest, (dims, depths)
+
+
+def interval_data(kind, shape, rng):
+    """Uniform values, u**20 spikes, sparse 0/1 ties, or zeros."""
+    if kind == "random":
+        return rng.uniform(-1, 1, shape)
+    if kind == "spiky":
+        return rng.uniform(0, 1, shape) ** 20
+    if kind == "tied":
+        return (rng.random(shape) < 0.1).astype(float)
+    return np.zeros(shape)
+
+
+@pytest.mark.parametrize("kind", ["random", "spiky", "tied", "zeros"])
+@pytest.mark.parametrize("L", [1, 2, 3, 63, 64, 65, 130, 512, 2048])
+def test_last_factor_max_matches_oracle(monkeypatch, L, kind):
+    # Budgets of 16 and 256 elements cut even short rows into many blocks of
+    # starts, most with a ragged last block; the oracle does not read BLOCK.
+    # Leading rows stop at 512 cells, where the oracle's cost starts to show.
+    rng = np.random.default_rng(L)
+    shapes = [(L,)] + ([(2, 3, L)] if L <= 512 else []) + ([(4, 512)] if L == 512 else [])
+    for shape in shapes:
+        x = interval_data(kind, shape, rng)
+        for count in (1, 3, 7, 12):
+            want = last_factor_max_oracle(x, count).tobytes()
+            for budget in (16, 256, windows.BLOCK):
+                monkeypatch.setattr(windows, "BLOCK", budget)
+                assert windows.last_factor_max(x, count, 1).tobytes() == want, (
+                    shape, count, budget)
+                monkeypatch.undo()
 
 
 def test_a1_weight_full_domain():

@@ -273,6 +273,18 @@ def test_theorem_demo_golden_digests(generator, dims, depths, horizon):
     assert digest == THEOREM_DEMO_DIGESTS[generator, dims, depths, horizon]
 
 
+def test_theorem_demo_spike_512_golden_digest():
+    # The spike route on one 512-cell row with the benchmark's parameters, so
+    # that every strong_maximal call runs the interval kernel over many blocks
+    # of starts; recorded from the kernel that ran the suffix max over every
+    # start/end pair.
+    rep = theorem_demo(TheoremRunConfig(
+        grid=ProductGrid((1,), (9,)), generator="l1-spike", epsilon=1e-2,
+        horizon=7, search_restarts=2, seed=0))
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == "43826854a357d1400195ca8c81d4ad749002d0832a3e13df6a061ae7d14735ea"
+
+
 def test_theorem_demo_one_cutoff_per_bad_set(monkeypatch):
     from dyadichardy import verify
     built = []
