@@ -3,14 +3,13 @@
 The maximal operator takes averages of |f| over grid-aligned products of
 per-factor cubes (any integer cell side, any in-domain position); the
 same rectangle class as the little-bmo norm.  The fast path uses that a
-max over windows commutes with the per-factor cover maxima: for each
-side tuple of the factors before the last it takes exact window sums,
-batches the last factor's sides in one interval kernel (best mean over
-all intervals containing a cell, from one prefix table), and lifts the
-result to per-cell maxima with an O(cells) sliding max along the earlier
-factors.  The work is O(cells x windows per cell) and the kernel's
-temporaries are bounded by a fixed chunk (see `windows`).  A literal
-all-rectangles loop is kept as the test oracle.
+max over windows commutes with per-factor cover maxima: for each side of
+a cube factor, and for each run of sides of a one-axis factor (all of them
+on small grids), it takes exact window sums, takes the last factor's best
+mean over all intervals containing a cell, and folds the earlier factors
+back to cells, later factors first (`windows`).  Work is O(cells x windows
+per cell) with bounded temporaries.  A literal all-rectangles loop is
+kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -23,18 +22,27 @@ import numpy as np
 
 from .errors import ContractionError, GridError
 from .grid import GridFunction, OpenSetMask
-from .windows import axis_sides, cover_max, iter_shapes, iter_window_sums, last_factor_max
+from .windows import BLOCK, axis_sides, cover_max, iter_shapes, iter_window_sums, last_factor_max, run_cover_max
 
 
 def strong_maximal(f: GridFunction) -> GridFunction:
     """Mf(x): max over aligned rectangles containing x of the average of |f|."""
     grid = f.grid
     a = np.abs(f.values.astype(np.float64))
-    out = np.full(grid.shape, -np.inf)
-    for shape, count, sums in iter_window_sums(a, grid):
-        avg = last_factor_max(sums, count, grid.factor_dims[-1])
-        for axis, s in enumerate(axis_sides(grid, shape)):
-            avg = cover_max(avg, s, axis)
+    # later factors first: counted from the end, a factor's axes are then its grid axes
+    folds = [(i, [x - a.ndim for x in grid.factor_axes(i)]) for i in range(grid.d - 2, -1, -1)]
+    out, n = np.full(a.shape, -np.inf), grid.factor_dims[-1]
+    for shape, count, sums, outside in iter_window_sums(a, grid):
+        if isinstance(count, np.ndarray) and sums.size >= BLOCK:  # big runs: skip rows no fold reads
+            keep = ~np.broadcast_to(outside[(...,) + (0,) * n], sums.shape[:-n])
+            avg = np.empty(sums.shape)
+            avg[keep] = last_factor_max(sums[keep], np.broadcast_to(count, keep.shape + (1,) * n)[keep], n)
+        else:
+            avg = last_factor_max(sums, count, n)
+        for i, axes in folds:
+            for axis in axes:  # a one-axis factor's run of sides folds in one call
+                avg = (run_cover_max(avg, int(shape[i][0]), axis) if isinstance(shape[i], np.ndarray)
+                       else cover_max(avg, shape[i], axis))
         np.maximum(out, avg, out=out)
     return GridFunction(grid, out)
 

@@ -205,18 +205,23 @@ def little_bmo_norm(f: GridFunction, p: int = 2, rect_class: str = "aligned") ->
         best = float(table[pos])
         witness = DyadicRectangle(tuple(c[k] for c, k in zip(cubes, pos)))
     elif p == 2:
-        # Runs of last-factor sides, side axis first, so the first argmax in
-        # C order is the shape-major, start-lexicographic first maximum.
-        # Out-of-domain starts hold mean -inf, hence osc2 = -inf - inf = -inf.
-        n = grid.factor_dims[-1]
-        for shape, count, sums in iter_window_sums(np.stack([vals, vals * vals]), grid):
+        # Side axes first, so the first argmax in C order is a yield's first
+        # maximum; runs hold many sides, so across yields `top`, the least
+        # (-osc2, sides, starts), settles ties.  Out-of-domain starts get -inf.
+        n, top = grid.factor_dims[-1], (1.0,)
+        for shape, count, sums, outside in iter_window_sums(np.stack([vals, vals * vals]), grid):
+            is_start = sum(([False] * isinstance(s, np.ndarray) + [True] * dims
+                            for s, dims in zip(shape, grid.factor_dims)), []) + [False] + [True] * n
+            order = sorted(range(len(is_start)), key=is_start.__getitem__)
             for sides, (mean, mean_sq) in iter_last_factor_means(sums, count, n):
-                osc2 = np.moveaxis(mean_sq - mean * mean, -n - 1, 0)
+                osc2 = mean_sq - mean * mean
+                np.copyto(osc2, -np.inf, where=np.expand_dims(outside, -n - 1))
+                osc2 = osc2.transpose(order)
                 pos = np.unravel_index(int(np.argmax(osc2)), osc2.shape)
-                if float(osc2[pos]) > best:
-                    best = float(osc2[pos])
-                    starts = tuple(int(x) for x in pos[1:])
-                    witness = AlignedBox(starts, shape + (int(sides[pos[0]]),))
+                run = iter(pos)
+                top = min(top, (-float(osc2[pos]), tuple(int(s[next(run)]) if isinstance(
+                    s, np.ndarray) else s for s in shape + (sides,)), tuple(int(x) for x in run)))
+        best, witness = -top[0], (AlignedBox(top[2], top[1]) if len(top) > 1 else None)
     else:
         for shape, osc in _aligned_oscillations(vals, grid):
             pos = np.unravel_index(int(np.argmax(osc)), osc.shape)

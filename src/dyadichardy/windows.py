@@ -1,25 +1,14 @@
 """Grid-aligned rectangle windows shared by the maximal and norm engines.
 
-A window is a product of per-factor cubes with integer cell side: within
-factor i all n_i axes share the same side, but positions vary per axis.
-Only windows lying fully inside the domain are enumerated (clipping a
-cube at the boundary would not leave a cube).
-
-The aligned-window kernel walks the factors in order.  `iter_window_sums`
-loops in Python over the sides of every factor but the last, carrying
-exact window sums (a zero-led cumulative sum per axis, differenced) that
-the later factors reuse.  The last factor is batched when it has one
-axis: from one prefix table along that axis, `last_factor_max` takes,
-per cell, the best average over all intervals containing it (a sweep
-over blocks of starts with a running per-end max, so the suffix max over
-ends runs only inside each block), and `iter_last_factor_means` stacks
-the window means of a run of sides for a shape-major, start-lexicographic
-argmax.  A last factor of cubes keeps a loop over its sides.  The work is
-O(cells x windows per cell), the suffix max only O(L x block height) of
-it on an L-cell row; blocks hold at most a fixed multiple of BLOCK
-elements, so the temporaries stay small whatever the grid.  A one-cell
-window takes the cell itself, not a difference of prefix sums, so every
-sum and mean is bit for bit what a per-shape pass computes.
+A window is a product of per-factor cubes with integer cell side (all n_i
+axes of factor i share it, positions vary per axis), inside the domain.
+`iter_window_sums` walks the factors before the last with exact window
+sums: a cube factor side by side, a one-axis factor all its intervals at
+once as a (side, start) pair of axes.  `last_factor_max` and
+`iter_last_factor_means` batch the last factor likewise; `run_cover_max`
+and `cover_max` fold back to cells.  Temporaries stay within a fixed
+multiple of BLOCK elements, and a one-cell window takes the cell itself,
+so every sum and mean is bit for bit what a per-shape pass computes.
 """
 
 from __future__ import annotations
@@ -93,73 +82,89 @@ def window_sums(values: np.ndarray, axes, side: int) -> np.ndarray:
     return out
 
 
-def iter_window_sums(values: np.ndarray, grid: ProductGrid):
-    """Window sums for every side tuple of the factors before the last.
+def _interval_runs(values: np.ndarray, axis: int):
+    """Window sums along `axis` (from the end), in runs of sides of at most 4 BLOCK elements
+    from one prefix table: (sides, run, leaves), run[..., k, a, ...] summing sides[k] cells
+    from a, clipped at the domain end where leaves[k, a]."""
+    L, prefix = values.shape[axis], _prefix(values, axis)
+    step = max(1, 4 * BLOCK // values.size)
+    for lo in range(1, L + 1, step):  # starts up to L - lo: each run's shortest side fits
+        ends = np.arange(L - lo + 1) + np.arange(lo, min(lo + step, L + 1))[:, None]  # a + side
+        starts = np.expand_dims(_take(prefix, axis, slice(0, L - lo + 1)), axis - 1)
+        run = np.take(prefix, np.minimum(ends, L), axis=axis) - starts
+        if lo == 1:
+            run[(Ellipsis, 0) + (slice(None),) * -axis] = values
+        yield ends[:, 0], run, ends > L
 
-    Yields (shape, count, sums) in shape-lexicographic order: the sides of
-    factors 0..d-2, the cell count of one such window, and the sums over
-    those factors' axes (one entry per start), with the last factor's
-    axes left as cells.  Leading axes of `values` before the grid axes
-    are carried along (the grid axes are addressed from the end).
-    """
+
+def iter_window_sums(values: np.ndarray, grid: ProductGrid):
+    """Window sums over the factors before the last, per side or run of sides: yields
+    (shape, count, sums, outside), the last factor's axes left as cells and leading axes of
+    `values` carried along.  A cube factor's shape entry is a side; a one-axis factor's an
+    array of sides, its side axis just before its grid axis, `outside` marking the starts
+    past the domain.  `count` (cells per window: an int, or an array of the ndim of `sums`)
+    and `outside` broadcast over `sums`."""
     ndim = len(grid.shape)
 
-    def walk(sums, i, shape, count):
+    def walk(sums, i, shape, count, outside):
         if i == grid.d - 1:
-            yield shape, count, sums
+            yield shape, count, sums, outside
             return
         axes = [axis - ndim for axis in grid.factor_axes(i)]
-        for s in range(1, grid.axis_side(i) + 1):
-            yield from walk(window_sums(sums, axes, s), i + 1, shape + (s,),
-                            count * s ** grid.factor_dims[i])
+        if len(axes) > 1:  # the sides share one prefix table along the first axis
+            p = _prefix(sums, axes[0])
+            for s in range(1, grid.axis_side(i) + 1):
+                first = _take(p, axes[0], slice(s, None)) - _take(p, axes[0], slice(None, -s))
+                yield from walk(window_sums(first if s > 1 else sums, axes[1:], s), i + 1,
+                                shape + (s,), count * s ** len(axes), outside)
+            return
+        axis, new_axis = axes[0], (Ellipsis, None) + (slice(None),) * -axes[0]
+        count = count[new_axis] if isinstance(count, np.ndarray) else count
+        for sides, run, leaves in _interval_runs(sums, axis):
+            per_side = sides.reshape((1,) * (run.ndim + axis - 1) + (-1,) + (1,) * -axis)
+            yield from walk(run, i + 1, shape + (sides,), count * per_side,
+                            outside[new_axis] | leaves.reshape(leaves.shape + (1,) * (-axis - 1)))
 
-    yield from walk(np.asarray(values), 0, (), 1)
+    yield from walk(np.asarray(values), 0, (), 1, np.zeros((1,) * ndim, dtype=bool))
 
 
-def iter_last_factor_means(sums: np.ndarray, count: int, n: int):
-    """Window means over the last factor's cubes, in runs of consecutive sides.
-
-    `sums` holds window sums of `count` cells each, with the last factor's
-    n axes still cells.  Yields (sides, means): means[..., k, starts] is
-    the mean over the cube of side sides[k] at those starts, the side axis
-    sitting just before the last factor's n axes; starts whose cube would
-    leave the domain hold -inf.  With n = 1 all sides come from one prefix
-    table; cubes are taken one side at a time.
-    """
-    L = sums.shape[-1]
+def iter_last_factor_means(sums: np.ndarray, count, n: int):
+    """Window means over the last factor's cubes, in runs of consecutive sides: for `sums`
+    and `count` as `iter_window_sums` yields them, (sides, means) with means[..., k, starts]
+    (side axis just before the last n axes) the mean over a cube of side sides[k], or -inf."""
     if n > 1:
-        for s in range(1, L + 1):
+        for s in range(1, sums.shape[-1] + 1):
             ws = window_sums(sums, range(-n, 0), s) / (count * s ** n)
             yield np.array([s]), np.expand_dims(ws, -n - 1)
         return
-    prefix = _prefix(sums, -1)
-    # ends[..., s, a] = prefix[..., a + s], past the domain end padded with its last entry
-    padded = np.concatenate([prefix, np.repeat(prefix[..., -1:], L, axis=-1)], axis=-1)
-    ends = np.lib.stride_tricks.sliding_window_view(padded, L, axis=-1)
-    starts = np.arange(L)
-    step = max(1, BLOCK // sums.size)
-    for lo in range(1, L + 1, step):
-        sides = np.arange(lo, min(lo + step, L + 1))
-        block = ends[..., lo:lo + len(sides), :] - prefix[..., None, :L]
-        if lo == 1:
-            block[..., 0, :] = sums  # one-cell windows: the cell itself
-        block /= count * sides[:, None]
-        np.copyto(block, -np.inf, where=starts + sides[:, None] > L)
+    for sides, block, leaves in _interval_runs(sums, -1):
+        block /= np.asarray(count)[..., None] * sides[:, None]
+        np.copyto(block, -np.inf, where=leaves)
         yield sides, block
 
 
-def last_factor_max(sums: np.ndarray, count: int, n: int) -> np.ndarray:
+def _cover(block: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """Per cell x, the max of block[k, e, ...] (interval k..e, per row) over k <= x <= e:
+    a suffix max over ends (end by end over every row once rows are many and
+    the block big), then a max over starts with `before` (x < k) masked."""
+    if block.size >= max(BLOCK, block.shape[0] ** 2 * block.shape[1]):  # rows >= starts
+        for j in range(block.shape[1] - 2, -1, -1):
+            np.maximum(block[:, j], block[:, j + 1], out=block[:, j])
+    else:
+        block = np.maximum.accumulate(block[:, ::-1], axis=1)[:, ::-1]
+    np.copyto(block, -np.inf, where=before)
+    return block.max(axis=0)
+
+
+def last_factor_max(sums: np.ndarray, count, n: int) -> np.ndarray:
     """Per cell of the last factor, the largest window mean over cubes containing it.
 
     `sums` and `count` are as for `iter_last_factor_means`.  With n = 1,
     out[..., x] = max over a <= x <= e of sum(cells a..e) / (count (e - a + 1)),
-    swept over blocks of starts a in [lo, hi).  Ends e >= hi cover every
-    cell from a to hi - 1, so their max over e (one column per start)
-    and their max over a (folded into `best`, one entry per end) leave
-    only the block's triangle e < hi to a suffix max over e, then a
-    masked max over a <= x.  `best` reaches later blocks through their
-    start lo, whose intervals cover every cell of the block.  A row that
-    fits in one block skips `best`.
+    swept over blocks of starts a in [lo, hi), cells in front of the rows.
+    Ends e >= hi cover every cell from a to hi - 1, so their max over e
+    (folded into end hi - 1) and over a (into `best`, per end, which later
+    blocks read through their start lo) leave the block's triangle to `_cover`.
     """
     if n > 1:
         out = np.full(sums.shape, -np.inf)
@@ -170,34 +175,53 @@ def last_factor_max(sums: np.ndarray, count: int, n: int) -> np.ndarray:
             np.maximum(out, avg, out=out)
         return out
     L = sums.shape[-1]
-    prefix = _prefix(sums, -1)
-    # h starts per block: the h x h triangle (the only part that pays for the
-    # suffix max) within BLOCK elements, the h x L block within 16 BLOCK.
-    h = max(1, min(L, math.isqrt(BLOCK // (sums.size // L)), 16 * BLOCK // sums.size))
+    # h starts per block: the h x h triangle of a row (the only part that pays
+    # for the suffix max) within BLOCK elements, the h x L block within 16 BLOCK.
+    h = max(1, min(L, math.isqrt(BLOCK), 16 * BLOCK // sums.size))
+    # cells[x, ...], rows reversed, contiguous where `_cover` goes end by end on block one
+    cells = np.ascontiguousarray(sums.T) if sums.size >= max(BLOCK // h, h * L) else sums.T
+    prefix = _prefix(cells, 0)
     k = np.arange(h)
-    length = np.arange(1.0, L + 1) - k[:, None]
+    length = (np.arange(1.0, L + 1) - k[:, None]).reshape((h, L) + (1,) * (sums.ndim - 1))
     before = length < 1  # cells x = lo + j before the start lo + k
-    np.maximum(length, 1, out=length)
-    length *= count
-    out = np.empty(sums.shape)
+    length = np.maximum(length, 1, out=length) * np.asarray(count).T
+    out = np.empty(cells.shape)
     if h < L:
-        best = np.full(sums.shape, -np.inf)  # per end, the best mean over earlier starts
+        best = np.full(cells.shape, -np.inf)  # per end, the best mean over earlier starts
     for lo in range(0, L, h):
         hi = min(L, lo + h)
         m = hi - lo
-        # block[..., k, j]: the interval of cells lo + k .. lo + j
-        block = prefix[..., None, lo + 1:] - prefix[..., lo:hi, None]
-        block[..., k[:m], k[:m]] = sums[..., lo:hi]  # one-cell windows: the cell itself
+        # block[k, j, ...]: the interval of cells lo + k .. lo + j
+        block = prefix[None, lo + 1:] - prefix[lo:hi, None]
+        block[k[:m], k[:m]] = cells[lo:hi]  # one-cell windows: the cell itself
         block /= length[:m, :L - lo]
         if lo:
-            np.maximum(block[..., 0, :], best[..., lo:], out=block[..., 0, :])
-        if hi < L:  # ends past the block: per end into best, per start into column m
-            np.maximum(best[..., hi:], block[..., m:].max(axis=-2), out=best[..., hi:])
-            block[..., m] = block[..., m:].max(axis=-1)
-        block = np.maximum.accumulate(block[..., :m + 1][..., ::-1], axis=-1)[..., ::-1]
-        np.copyto(block, -np.inf, where=before[:m, :block.shape[-1]])
-        out[..., lo:hi] = block[..., :m].max(axis=-2)
-    return out
+            np.maximum(block[0], best[lo:], out=block[0])
+        if hi < L:  # ends past the block: per end into best, per start into end hi - 1
+            np.maximum(best[hi:], block[:, m:].max(axis=0), out=best[hi:])
+            block[:, m - 1] = block[:, m - 1:].max(axis=1)
+        out[lo:hi] = block = _cover(block[:, :m], before[:m, :m])  # frees it before the next
+    return out.T
+
+
+def run_cover_max(v: np.ndarray, lo: int, axis: int) -> np.ndarray:
+    """Per cell along `axis`, the max over a run's intervals containing it: v[..., k, a, ...]
+    (a on `axis`, counted from the end; k on the axis before, which goes) holds the interval
+    of lo + k cells from a.  Blocks of starts (4 BLOCK elements at most) go to `_cover`."""
+    side = v.ndim + axis - 1
+    rest = list(range(side)) + list(range(side + 2, v.ndim))
+    b = v.transpose([side, side + 1] + rest)  # b[k, a, ...]
+    K, n, rows = b.shape[0], b.shape[1], (1,) * len(rest)  # n = L - lo + 1 starts
+    out = np.full((n + lo - 1,) + b.shape[2:], -np.inf)
+    h = max(1, 4 * BLOCK // out.size)
+    for a0 in range(0, n, h):
+        a = np.arange(a0, min(n, a0 + h))[:, None]
+        k = np.arange(a0, n + lo - 1) - a - (lo - 1)  # side index of the interval from a to e
+        inside = ((k >= 0) & (k < K)).reshape(k.shape + rows)
+        block = np.where(inside, b[np.minimum(np.maximum(k, 0), K - 1), a], -np.inf)
+        np.maximum(out[a0:], _cover(block, (k < 1 - lo).reshape(inside.shape)), out=out[a0:])
+        del block  # freed before the next block is built
+    return out.transpose(list(range(1, side + 1)) + [0] + list(range(side + 1, v.ndim - 1)))
 
 
 def cover_max(a: np.ndarray, s: int, axis: int) -> np.ndarray:
@@ -217,7 +241,9 @@ def cover_max(a: np.ndarray, s: int, axis: int) -> np.ndarray:
     ext[..., s - 1: n] = a
     blocks = ext.reshape(a.shape[:-1] + (nblocks, s))
     pre = np.maximum.accumulate(blocks, axis=-1).reshape(ext.shape)
-    suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(ext.shape)
+    suf = np.empty(blocks.shape)  # written reversed, so that it reshapes without a copy
+    np.maximum.accumulate(blocks[..., ::-1], axis=-1, out=suf[..., ::-1])
+    suf = suf.reshape(ext.shape)
     return np.swapaxes(np.maximum(suf[..., :n], pre[..., s - 1: n + s - 1]), axis, -1)
 
 

@@ -2,20 +2,23 @@
 oracles (every box is sliced out of the value array and reduced with
 `.mean()`, and the first maximum wins on a strict `>`), the data they
 are compared on, the A1-weight series loop that recomputes every
-maximal iterate, and the interval kernel that ran the suffix max over
-every start/end pair."""
+maximal iterate, the interval kernel that ran the suffix max over
+every start/end pair, and the window walk that took every factor before
+the last one side at a time."""
 
 import itertools
 import math
 
 import numpy as np
 
-from dyadichardy import DyadicRectangle, GridFunction, OscResult
+from dyadichardy import (DyadicRectangle, GridFunction, OpenSetMask, OscResult, ProductGrid,
+                         TauParams, generators, tau_build)
 from dyadichardy.errors import ContractionError, GridError
 from dyadichardy.grid import _factor_cubes
 from dyadichardy.maximal import strong_maximal
 from dyadichardy.verify import PASS_TOL, InequalityReport
-from dyadichardy.windows import BLOCK, AlignedBox, _prefix, axis_sides, iter_shapes
+from dyadichardy.windows import (BLOCK, AlignedBox, _prefix, axis_sides, cover_max,
+                                 iter_last_factor_means, iter_shapes, last_factor_max, window_sums)
 
 
 def oracle_data(grid, kind, seed):
@@ -27,6 +30,25 @@ def oracle_data(grid, kind, seed):
         return GridFunction(grid, rng.integers(-2, 3, grid.shape).astype(float))
     scale = np.where(rng.random(grid.shape) < 0.5, 1e6, 1e-9)
     return GridFunction(grid, rng.uniform(-1, 1, grid.shape) * scale)
+
+
+def tied_inputs():
+    """(name, f) pairs whose windows tie often: 0/1 indicators, a constant, a
+    cutoff that is exactly 1 on its set, and a symmetric bump."""
+    grid64 = ProductGrid((1, 1), (3, 3))
+    for r0 in (0, 6):
+        for c0 in (0, 6):
+            cells = [(r0 + a) * 8 + c0 + b for a in (0, 1) for b in (0, 1)]
+            mask = generators.cell_mask(grid64, cells)
+            yield f"corner {r0},{c0}", GridFunction(grid64, mask.cells.astype(float))
+    E = OpenSetMask.from_cell_indices(grid64, [0, 1, 8, 9])
+    yield "tau 0.5", tau_build(E, TauParams(delta=0.5)).tau
+    yield "constant", GridFunction.constant(grid64, 1.0)
+    yield "bump", generators.smooth_bump(ProductGrid((1, 1), (4, 4)))
+    for k, (dims, depths) in enumerate([((1, 2), (3, 2)), ((2, 1), (2, 2)),
+                                        ((1, 1, 1), (2, 2, 2))]):
+        mask = generators.random_mask(ProductGrid(dims, depths), seed=k, density=0.2)
+        yield f"sparse {dims}x{depths}", GridFunction(mask.grid, mask.cells.astype(float))
 
 
 def _aligned_boxes(grid):
@@ -180,3 +202,55 @@ def last_factor_max_oracle(sums, count):
         np.maximum(out[..., lo:], block.max(axis=-2), out=out[..., lo:])
         lo = hi
     return out
+
+
+def iter_window_sums_per_side(values, grid):
+    """windows.iter_window_sums with every factor before the last walked one
+    side at a time, in shape-lexicographic order."""
+    ndim = len(grid.shape)
+
+    def walk(sums, i, shape, count):
+        if i == grid.d - 1:
+            yield shape, count, sums
+            return
+        axes = [axis - ndim for axis in grid.factor_axes(i)]
+        for s in range(1, grid.axis_side(i) + 1):
+            yield from walk(window_sums(sums, axes, s), i + 1, shape + (s,),
+                            count * s ** grid.factor_dims[i])
+
+    yield from walk(np.asarray(values), 0, (), 1)
+
+
+def strong_maximal_per_side(f):
+    """strong_maximal on the per-side walk, every earlier factor lifted to
+    cells with cover_max."""
+    grid = f.grid
+    a = np.abs(f.values.astype(np.float64))
+    out = np.full(grid.shape, -np.inf)
+    for shape, count, sums in iter_window_sums_per_side(a, grid):
+        avg = last_factor_max(sums, count, grid.factor_dims[-1])
+        for axis, s in enumerate(axis_sides(grid, shape)):
+            avg = cover_max(avg, s, axis)
+        np.maximum(out, avg, out=out)
+    return GridFunction(grid, out)
+
+
+def little_bmo_p2_aligned_per_side(f):
+    """little_bmo_norm(f, p=2, rect_class="aligned") on the per-side walk:
+    yields in shape order, so a strict `>` keeps the first maximum."""
+    grid = f.grid
+    vals = f.values.astype(np.float64)
+    best, witness = -1.0, None
+    # Runs of last-factor sides, side axis first, so the first argmax in
+    # C order is the shape-major, start-lexicographic first maximum.
+    # Out-of-domain starts hold mean -inf, hence osc2 = -inf - inf = -inf.
+    n = grid.factor_dims[-1]
+    for shape, count, sums in iter_window_sums_per_side(np.stack([vals, vals * vals]), grid):
+        for sides, (mean, mean_sq) in iter_last_factor_means(sums, count, n):
+            osc2 = np.moveaxis(mean_sq - mean * mean, -n - 1, 0)
+            pos = np.unravel_index(int(np.argmax(osc2)), osc2.shape)
+            if float(osc2[pos]) > best:
+                best = float(osc2[pos])
+                starts = tuple(int(x) for x in pos[1:])
+                witness = AlignedBox(starts, shape + (int(sides[pos[0]]),))
+    return OscResult(math.sqrt(max(best, 0.0)), witness, 2, "aligned")

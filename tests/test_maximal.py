@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from dyadichardy import (
     strong_maximal_naive,
     tau_build,
 )
-from dyadichardy import generators, maximal, windows
-from oracles import a1_weight_oracle, last_factor_max_oracle
+from dyadichardy import generators, little_bmo_norm, maximal, windows
+from oracles import (a1_weight_oracle, last_factor_max_oracle, little_bmo_p2_aligned_per_side,
+                     strong_maximal_per_side, tied_inputs)
 
 
 def random_function(grid, seed):
@@ -123,6 +125,31 @@ def test_maximal_long_row_golden_digests():
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest, (dims, depths)
 
 
+# sha256 of strong_maximal(f).values.tobytes() for tests/oracles.py's
+# tied_inputs(), recorded from the per-side window walk: many windows tie on
+# these inputs, so the digests pin the result wherever the walk's order of
+# maxima could matter.
+TIED_MAXIMAL_DIGESTS = {
+    "corner 0,0": "7dcb8c2bb9c80acbf4af4c8c9d46658a0d88460a7282166fba5b84eb45536bd9",
+    "corner 0,6": "ccdd9b98325b08277d4a08387925de418e2a277928d98b42f9d2d3ca3f8226f0",
+    "corner 6,0": "214a8b87bcb2ff8bbe633338a24cd505c385a4d1d244b77915dd9fd31ce32c2c",
+    "corner 6,6": "9f788e0ed6e1ab519b0672b29b341daa0eaa83c36c03d00df156bad92f9136a8",
+    "tau 0.5": "193a4500c8a423822299ead6f49f03216a2312f286d9eb84d77ecb62b83266f2",
+    "constant": "e31bedb0d9a84d336f4601611ba5c1f0c14a22ede9bbb52afb09092dc79d6b67",
+    "bump": "4903a00ff822db40318094bb0db1bca30b17e375a4d25677bf664992256a100e",
+    "sparse (1, 2)x(3, 2)": "f9a77e24fc6252104d25073be8e951f63550790c24fb6e51ce0bb1ebfa9aab2e",
+    "sparse (2, 1)x(2, 2)": "556a86347784e4c908590ae1134e52526e108ada4de38382ceb901c1c521e7b2",
+    "sparse (1, 1, 1)x(2, 2, 2)":
+        "81349781ef4ed28bb4140fc0c310d663f545fcbad35713f4c9a2b22494d837b9",
+}
+
+
+def test_maximal_tied_golden_digests():
+    digests = {name: hashlib.sha256(strong_maximal(f).values.tobytes()).hexdigest()
+               for name, f in tied_inputs()}
+    assert digests == TIED_MAXIMAL_DIGESTS
+
+
 def interval_data(kind, shape, rng):
     """Uniform values, u**20 spikes, sparse 0/1 ties, or zeros."""
     if kind == "random":
@@ -151,6 +178,46 @@ def test_last_factor_max_matches_oracle(monkeypatch, L, kind):
                 assert windows.last_factor_max(x, count, 1).tobytes() == want, (
                     shape, count, budget)
                 monkeypatch.undo()
+
+
+# Factors before the last with one axis (whose sides the walk stacks into
+# runs) or with several, alone or mixed; with a cube factor after a run, the
+# walk yields out of shape order.
+RUN_GRIDS = [((1, 1), (3, 4)), ((1, 2), (3, 2)), ((2, 1), (2, 3)), ((1, 1, 1), (2, 3, 2)),
+             ((1, 2, 1), (2, 1, 2)), ((2, 1, 1), (1, 2, 2))]
+
+
+@pytest.mark.parametrize("kind", ["random", "spiky", "tied", "zeros"])
+@pytest.mark.parametrize("dims, depths", RUN_GRIDS)
+def test_run_walk_matches_per_side_oracle(monkeypatch, dims, depths, kind):
+    # BLOCK sets the run length, 4 BLOCK // the run array's input size sides:
+    # one side per run, a few with a ragged last run, and every side at once.
+    grid = ProductGrid(dims, depths)
+    f = GridFunction(grid, interval_data(kind, grid.shape, np.random.default_rng(grid.cell_count)))
+    want = strong_maximal_per_side(f).values.tobytes()
+    oracle = little_bmo_p2_aligned_per_side(f)
+    for budget in (1, 3 * grid.cell_count // 2, windows.BLOCK):
+        monkeypatch.setattr(windows, "BLOCK", budget)
+        assert strong_maximal(f).values.tobytes() == want, budget
+        res = little_bmo_norm(f, p=2, rect_class="aligned")
+        assert (res.value.hex(), res.witness) == (oracle.value.hex(), oracle.witness), budget
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dims, depths", [((1, 1), (6, 6)), ((1, 1, 1), (4, 4, 4)),
+                                          ((1, 1), (2, 9))])
+def test_window_kernels_peak_memory(dims, depths):
+    # Runs keep every temporary within a fixed multiple of BLOCK: one run of
+    # every side would hold about 8 MiB per temporary on (1,1,1)x(4,4,4).
+    f = generators.random_uniform(ProductGrid(dims, depths), seed=0)
+    for kernel in (strong_maximal, lambda g: little_bmo_norm(g, p=2, rect_class="aligned")):
+        tracemalloc.start()
+        try:
+            kernel(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (dims, depths, peak)
 
 
 def test_a1_weight_full_domain():

@@ -29,7 +29,7 @@ from dyadichardy import (
 from dyadichardy import generators
 from dyadichardy.norms import _oscillations
 from dyadichardy.windows import AlignedBox
-from oracles import little_bmo_oracle, oracle_data
+from oracles import little_bmo_oracle, oracle_data, tied_inputs
 
 
 def random_function(grid, seed):
@@ -234,6 +234,33 @@ def test_little_bmo_aligned_p2_golden_digests():
         res = little_bmo_norm(f, p=2, rect_class="aligned")
         key = repr((res.value.hex(), res.witness.starts, res.witness.sides))
         assert hashlib.sha256(key.encode()).hexdigest() == digest, (dims, depths)
+
+
+# The same key for little_bmo_norm(f, p=2, rect_class="aligned") on
+# tests/oracles.py's tied_inputs(), recorded from the per-side window walk.
+# Many boxes tie on these inputs, so the digests pin the first-maximum rule.
+TIED_LITTLE_BMO_DIGESTS = {
+    "corner 0,0": "d11e03c35111b1e8d5ab1a508c920a7256ae76134ece2f2b7083a74acecb8726",
+    "corner 0,6": "ed0d502c3512a0e2f92572ee3bd3e3c550aede6e40bab4c5d1ecf9c9b4091501",
+    "corner 6,0": "92b8c3c5409435cf7c511d72a024a89927dadeebafd3a1a47f3c256a4cd07036",
+    "corner 6,6": "4b456b60933712c4f394dd31d0eb4d2b8fbe2396fd41f439b88fb0200a8a8767",
+    "tau 0.5": "0541ac1cfd0eaa04c069e63c4087477fa2ebeb67982f664e183143796ece980f",
+    "constant": "8052126f25e9908f5f7341daec9c70bba54a537f3eb28e9a4ed4e1ab9119869b",
+    "bump": "c4e13b7e108752262a5ddaf0f91475d11c86a6a56b9875d91e4a265a23408e28",
+    "sparse (1, 2)x(3, 2)": "93fdc7227d2b11145f5f415c48058a67080243d1a6d2da7d37cf19804d6582be",
+    "sparse (2, 1)x(2, 2)": "f5fc063f385aa04353b777cf504e7d0c54675044349698a29ceff2ec31dfe9ca",
+    "sparse (1, 1, 1)x(2, 2, 2)":
+        "3228ba270915f25eb9c5a79b3a806ac31833d724f76b8d1e3071b5be0116f61f",
+}
+
+
+def test_little_bmo_aligned_p2_tied_golden_digests():
+    digests = {}
+    for name, f in tied_inputs():
+        res = little_bmo_norm(f, p=2, rect_class="aligned")
+        key = repr((res.value.hex(), res.witness.starts, res.witness.sides))
+        digests[name] = hashlib.sha256(key.encode()).hexdigest()
+    assert digests == TIED_LITTLE_BMO_DIGESTS
 
 
 # sha256 of repr([(value.hex(), witness) for f, its walk]) for little_bmo_norm
