@@ -114,9 +114,10 @@ def iter_window_sums(values: np.ndarray, grid: ProductGrid):
         if len(axes) > 1:  # the sides share one prefix table along the first axis
             p = _prefix(sums, axes[0])
             for s in range(1, grid.axis_side(i) + 1):
-                first = _take(p, axes[0], slice(s, None)) - _take(p, axes[0], slice(None, -s))
-                yield from walk(window_sums(first if s > 1 else sums, axes[1:], s), i + 1,
-                                shape + (s,), count * s ** len(axes), outside)
+                first = sums if s == 1 else (_take(p, axes[0], slice(s, None))
+                                             - _take(p, axes[0], slice(None, -s)))
+                yield from walk(window_sums(first, axes[1:], s), i + 1, shape + (s,),
+                                count * s ** len(axes), outside)
             return
         axis, new_axis = axes[0], (Ellipsis, None) + (slice(None),) * -axes[0]
         count = count[new_axis] if isinstance(count, np.ndarray) else count
@@ -234,7 +235,7 @@ def cover_max(a: np.ndarray, s: int, axis: int) -> np.ndarray:
     """
     if s == 1:
         return a
-    a = np.swapaxes(a, axis, -1)
+    a = a.swapaxes(axis, -1)
     n = a.shape[-1] + s - 1
     nblocks = -(-(n + s - 1) // s)
     ext = np.full(a.shape[:-1] + (nblocks * s,), -np.inf)
@@ -244,7 +245,7 @@ def cover_max(a: np.ndarray, s: int, axis: int) -> np.ndarray:
     suf = np.empty(blocks.shape)  # written reversed, so that it reshapes without a copy
     np.maximum.accumulate(blocks[..., ::-1], axis=-1, out=suf[..., ::-1])
     suf = suf.reshape(ext.shape)
-    return np.swapaxes(np.maximum(suf[..., :n], pre[..., s - 1: n + s - 1]), axis, -1)
+    return np.maximum(suf[..., :n], pre[..., s - 1: n + s - 1]).swapaxes(axis, -1)
 
 
 def factor_gradient_l1max(f: GridFunction, i: int) -> float:
