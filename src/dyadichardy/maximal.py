@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractionError, GridError
 from .grid import GridFunction, OpenSetMask
-from .windows import BLOCK, axis_sides, cover_max, iter_shapes, iter_window_sums, last_factor_max, run_cover_max
+from .windows import axis_sides, cover_max, iter_shapes, iter_window_sums, last_factor_max, run_cover_max
 
 
 def strong_maximal(f: GridFunction) -> GridFunction:
@@ -33,12 +33,7 @@ def strong_maximal(f: GridFunction) -> GridFunction:
     folds = [(i, [x - a.ndim for x in grid.factor_axes(i)]) for i in range(grid.d - 2, -1, -1)]
     out, n = np.full(a.shape, -np.inf), grid.factor_dims[-1]
     for shape, count, sums, outside in iter_window_sums(a, grid):
-        if isinstance(count, np.ndarray) and sums.size >= BLOCK:  # big runs: skip rows no fold reads
-            keep = ~np.broadcast_to(outside[(...,) + (0,) * n], sums.shape[:-n])
-            avg = np.empty(sums.shape)
-            avg[keep] = last_factor_max(sums[keep], np.broadcast_to(count, keep.shape + (1,) * n)[keep], n)
-        else:
-            avg = last_factor_max(sums, count, n)
+        avg = last_factor_max(sums, count, outside, n)
         for i, axes in folds:
             for axis in axes:  # a one-axis factor's run of sides folds in one call
                 avg = (run_cover_max(avg, int(shape[i][0]), axis) if isinstance(shape[i], np.ndarray)

@@ -213,10 +213,8 @@ def little_bmo_norm(f: GridFunction, p: int = 2, rect_class: str = "aligned") ->
             is_start = sum(([False] * isinstance(s, np.ndarray) + [True] * dims
                             for s, dims in zip(shape, grid.factor_dims)), []) + [False] + [True] * n
             order = sorted(range(len(is_start)), key=is_start.__getitem__)
-            for sides, (mean, mean_sq) in iter_last_factor_means(sums, count, n):
-                osc2 = mean_sq - mean * mean
-                np.copyto(osc2, -np.inf, where=np.expand_dims(outside, -n - 1))
-                osc2 = osc2.transpose(order)
+            for sides, (mean, mean_sq) in iter_last_factor_means(sums, count, outside, n):
+                osc2 = (mean_sq - mean * mean).transpose(order)
                 pos = np.unravel_index(int(np.argmax(osc2)), osc2.shape)
                 run = iter(pos)
                 top = min(top, (-float(osc2[pos]), tuple(int(s[next(run)]) if isinstance(

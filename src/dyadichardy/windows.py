@@ -102,8 +102,9 @@ def iter_window_sums(values: np.ndarray, grid: ProductGrid):
     (shape, count, sums, outside), the last factor's axes left as cells and leading axes of
     `values` carried along.  A cube factor's shape entry is a side; a one-axis factor's an
     array of sides, its side axis just before its grid axis, `outside` marking the starts
-    past the domain.  `count` (cells per window: an int, or an array of the ndim of `sums`)
-    and `outside` broadcast over `sums`."""
+    past the domain (finite padding, which `last_factor_max` and `iter_last_factor_means`
+    turn to -inf).  `count` (cells per window: an int before any run, then an array of the
+    ndim of `sums`) and `outside` broadcast over `sums`."""
     ndim = len(grid.shape)
 
     def walk(sums, i, shape, count, outside):
@@ -111,12 +112,9 @@ def iter_window_sums(values: np.ndarray, grid: ProductGrid):
             yield shape, count, sums, outside
             return
         axes = [axis - ndim for axis in grid.factor_axes(i)]
-        if len(axes) > 1:  # the sides share one prefix table along the first axis
-            p = _prefix(sums, axes[0])
+        if len(axes) > 1:
             for s in range(1, grid.axis_side(i) + 1):
-                first = sums if s == 1 else (_take(p, axes[0], slice(s, None))
-                                             - _take(p, axes[0], slice(None, -s)))
-                yield from walk(window_sums(first, axes[1:], s), i + 1, shape + (s,),
+                yield from walk(window_sums(sums, axes, s), i + 1, shape + (s,),
                                 count * s ** len(axes), outside)
             return
         axis, new_axis = axes[0], (Ellipsis, None) + (slice(None),) * -axes[0]
@@ -129,18 +127,20 @@ def iter_window_sums(values: np.ndarray, grid: ProductGrid):
     yield from walk(np.asarray(values), 0, (), 1, np.zeros((1,) * ndim, dtype=bool))
 
 
-def iter_last_factor_means(sums: np.ndarray, count, n: int):
-    """Window means over the last factor's cubes, in runs of consecutive sides: for `sums`
-    and `count` as `iter_window_sums` yields them, (sides, means) with means[..., k, starts]
-    (side axis just before the last n axes) the mean over a cube of side sides[k], or -inf."""
+def iter_last_factor_means(sums: np.ndarray, count, outside, n: int):
+    """Window means over the last factor's cubes, in runs of consecutive sides: for `sums`,
+    `count` and `outside` as `iter_window_sums` yields them, (sides, means) with
+    means[..., k, starts] (side axis just before the last n axes) the mean over a cube of
+    side sides[k], or -inf where the window leaves the domain."""
     if n > 1:
         for s in range(1, sums.shape[-1] + 1):
             ws = window_sums(sums, range(-n, 0), s) / (count * s ** n)
+            np.copyto(ws, -np.inf, where=outside)
             yield np.array([s]), np.expand_dims(ws, -n - 1)
         return
     for sides, block, leaves in _interval_runs(sums, -1):
         block /= np.asarray(count)[..., None] * sides[:, None]
-        np.copyto(block, -np.inf, where=leaves)
+        np.copyto(block, -np.inf, where=leaves | np.expand_dims(outside, -2))
         yield sides, block
 
 
@@ -157,30 +157,39 @@ def _cover(block: np.ndarray, before: np.ndarray) -> np.ndarray:
     return block.max(axis=0)
 
 
-def last_factor_max(sums: np.ndarray, count, n: int) -> np.ndarray:
-    """Per cell of the last factor, the largest window mean over cubes containing it.
-
-    `sums` and `count` are as for `iter_last_factor_means`.  With n = 1,
-    out[..., x] = max over a <= x <= e of sum(cells a..e) / (count (e - a + 1)),
-    swept over blocks of starts a in [lo, hi), cells in front of the rows.
-    Ends e >= hi cover every cell from a to hi - 1, so their max over e
-    (folded into end hi - 1) and over a (into `best`, per end, which later
-    blocks read through their start lo) leave the block's triangle to `_cover`.
-    """
+def last_factor_max(sums: np.ndarray, count, outside, n: int) -> np.ndarray:
+    """Per cell of the last factor, the largest window mean over cubes containing it, and
+    -inf on the rows `outside` the domain (`sums`, `count` and `outside` as
+    `iter_window_sums` yields them; with n = 1 only the rows inside are swept)."""
     if n > 1:
         out = np.full(sums.shape, -np.inf)
-        for sides, means in iter_last_factor_means(sums, count, n):
+        for sides, means in iter_last_factor_means(sums, count, outside, n):
             avg = np.squeeze(means, -n - 1)
             for axis in range(-n, 0):
                 avg = cover_max(avg, int(sides[0]), axis)
             np.maximum(out, avg, out=out)
         return out
+    if isinstance(count, np.ndarray):  # after a run of sides: gather the rows inside
+        keep = np.logical_not(outside[..., 0], out=np.empty(sums.shape[:-1], dtype=bool))
+        counts = np.ones(keep.shape + (1,), dtype=int) * count
+        out = np.full(sums.shape, -np.inf)
+        out[keep] = _interval_max(sums[keep], counts[keep])
+        return out
+    return _interval_max(sums, count)
+
+
+def _interval_max(sums: np.ndarray, count) -> np.ndarray:
+    """out[..., x] = max over a <= x <= e of sum(cells a..e) / (count (e - a + 1)),
+    swept over blocks of starts a in [lo, hi), cells in front of the rows.
+    Ends e >= hi cover every cell from a to hi - 1, so their max over e
+    (folded into end hi - 1) and over a (into `best`, per end, which later
+    blocks read through their start lo) leave the block's triangle to `_cover`.
+    """
     L = sums.shape[-1]
     # h starts per block: the h x h triangle of a row (the only part that pays
     # for the suffix max) within BLOCK elements, the h x L block within 16 BLOCK.
     h = max(1, min(L, math.isqrt(BLOCK), 16 * BLOCK // sums.size))
-    # cells[x, ...], rows reversed, contiguous where `_cover` goes end by end on block one
-    cells = np.ascontiguousarray(sums.T) if sums.size >= max(BLOCK // h, h * L) else sums.T
+    cells = np.ascontiguousarray(sums.T)  # cells[x, ...], rows reversed
     prefix = _prefix(cells, 0)
     k = np.arange(h)
     length = (np.arange(1.0, L + 1) - k[:, None]).reshape((h, L) + (1,) * (sums.ndim - 1))
@@ -235,17 +244,15 @@ def cover_max(a: np.ndarray, s: int, axis: int) -> np.ndarray:
     """
     if s == 1:
         return a
-    a = a.swapaxes(axis, -1)
+    a = np.swapaxes(a, axis, -1)
     n = a.shape[-1] + s - 1
     nblocks = -(-(n + s - 1) // s)
     ext = np.full(a.shape[:-1] + (nblocks * s,), -np.inf)
     ext[..., s - 1: n] = a
     blocks = ext.reshape(a.shape[:-1] + (nblocks, s))
     pre = np.maximum.accumulate(blocks, axis=-1).reshape(ext.shape)
-    suf = np.empty(blocks.shape)  # written reversed, so that it reshapes without a copy
-    np.maximum.accumulate(blocks[..., ::-1], axis=-1, out=suf[..., ::-1])
-    suf = suf.reshape(ext.shape)
-    return np.maximum(suf[..., :n], pre[..., s - 1: n + s - 1]).swapaxes(axis, -1)
+    suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(ext.shape)
+    return np.swapaxes(np.maximum(suf[..., :n], pre[..., s - 1: n + s - 1]), axis, -1)
 
 
 def factor_gradient_l1max(f: GridFunction, i: int) -> float:

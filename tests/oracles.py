@@ -227,8 +227,9 @@ def strong_maximal_per_side(f):
     grid = f.grid
     a = np.abs(f.values.astype(np.float64))
     out = np.full(grid.shape, -np.inf)
+    inside = np.zeros((1,) * a.ndim, dtype=bool)
     for shape, count, sums in iter_window_sums_per_side(a, grid):
-        avg = last_factor_max(sums, count, grid.factor_dims[-1])
+        avg = last_factor_max(sums, count, inside, grid.factor_dims[-1])
         for axis, s in enumerate(axis_sides(grid, shape)):
             avg = cover_max(avg, s, axis)
         np.maximum(out, avg, out=out)
@@ -244,9 +245,9 @@ def little_bmo_p2_aligned_per_side(f):
     # Runs of last-factor sides, side axis first, so the first argmax in
     # C order is the shape-major, start-lexicographic first maximum.
     # Out-of-domain starts hold mean -inf, hence osc2 = -inf - inf = -inf.
-    n = grid.factor_dims[-1]
+    n, inside = grid.factor_dims[-1], np.zeros((1,) * vals.ndim, dtype=bool)
     for shape, count, sums in iter_window_sums_per_side(np.stack([vals, vals * vals]), grid):
-        for sides, (mean, mean_sq) in iter_last_factor_means(sums, count, n):
+        for sides, (mean, mean_sq) in iter_last_factor_means(sums, count, inside, n):
             osc2 = np.moveaxis(mean_sq - mean * mean, -n - 1, 0)
             pos = np.unravel_index(int(np.argmax(osc2)), osc2.shape)
             if float(osc2[pos]) > best:

@@ -175,9 +175,25 @@ def test_last_factor_max_matches_oracle(monkeypatch, L, kind):
             want = last_factor_max_oracle(x, count).tobytes()
             for budget in (16, 256, windows.BLOCK):
                 monkeypatch.setattr(windows, "BLOCK", budget)
-                assert windows.last_factor_max(x, count, 1).tobytes() == want, (
+                inside = np.zeros((1,) * x.ndim, dtype=bool)
+                assert windows.last_factor_max(x, count, inside, 1).tobytes() == want, (
                     shape, count, budget)
                 monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_last_factor_max_rows_outside_are_minus_inf(n):
+    # Rows marked outside the domain read -inf (with n = 1 they skip the
+    # sweep); the others, with a per-row count, match the rows run one at a time.
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0, 1, (3, 4) + (8,) * n)
+    count = rng.integers(1, 9, (3, 4) + (1,) * n)
+    outside = (np.arange(4) >= np.arange(3)[:, None] + 2).reshape((3, 4) + (1,) * n)
+    got = windows.last_factor_max(x, count, outside, n)
+    assert np.isneginf(got[np.broadcast_to(outside, got.shape)]).all()
+    for r, c in zip(*np.nonzero(~outside.reshape(3, 4))):
+        one = windows.last_factor_max(x[r, c], int(count[r, c].flat[0]), np.zeros((1,) * n, bool), n)
+        assert got[r, c].tobytes() == one.tobytes(), (r, c)
 
 
 # Factors before the last with one axis (whose sides the walk stacks into
