@@ -33,6 +33,7 @@ from .grid import (
     ProductGrid,
     RectangleFamily,
     enumerate_rectangles,
+    rectangles_in,
 )
 from .martingale import decompose, decomposition_to_dict, reconstruct
 from .maximal import TauParams, check_a1 as a1_constant, iterate_maximal, tau_build
@@ -175,15 +176,15 @@ def _emit(report, output=None, format="json") -> None:
 
 
 # ---------------------------------------------------------------- subcommands
-# `seed` is accepted by every command, like the --seed flag, and unused by
-# decompose, norms, maximal and tau.
+# `seed`, like --seed, is read by generate, verify and demo; norms accepts it
+# and `restarts` unused; decompose, maximal and tau reject it.
 
 def cmd_generate(*, kind, grid, params=None, seed=None):
     params = json.loads(params) if params else {}
     return generators.generate(kind, grid, params, seed=seed or 0).to_dict()
 
 
-def cmd_decompose(*, f, seed=None):
+def cmd_decompose(*, f):
     dec = decompose(f)
     report = decomposition_to_dict(dec)
     back = reconstruct(dec)
@@ -222,7 +223,7 @@ def cmd_norms(quantity, *, f, exact=False, restarts=12, cap=None, cap_cells=None
             "diagnostics": res.diagnostics}
 
 
-def cmd_maximal(*, f, iter=1, check_a1=False, seed=None):
+def cmd_maximal(*, f, iter=1, check_a1=False):
     mf = iterate_maximal(f, iter)
     report = {"value": mf.to_dict(), "witness": None, "mode": "exact",
               "diagnostics": {"iterations": iter}}
@@ -231,7 +232,7 @@ def cmd_maximal(*, f, iter=1, check_a1=False, seed=None):
     return report
 
 
-def cmd_tau(*, E, delta, c=None, tol=1e-8, kmax=60, seed=None):
+def cmd_tau(*, E, delta, c=None, tol=1e-8, kmax=60):
     report = tau_build(E, TauParams(delta=delta, c=c, tol=tol, kmax=kmax))
     return {
         "tau": report.tau,
@@ -260,15 +261,11 @@ def _random_function(grid: ProductGrid, rng) -> GridFunction:
 
 
 def _random_subfamily(grid: ProductGrid, rng, keep=0.3, alpha=None, strict=False):
-    members = []
-    for rect in enumerate_rectangles(grid):
-        if alpha is not None:
-            m = rect.measure
-            if (m >= alpha) if strict else (m > alpha):
-                continue
-        if rng.random() < keep:
-            members.append(rect)
-    return RectangleFamily(grid, members)
+    """One uniform draw per rectangle under the size cap, in canonical order."""
+    passing = rectangles_in(enumerate_rectangles(grid), OpenSetMask.full(grid), alpha, strict)._mask
+    mask = np.zeros_like(passing)
+    mask[passing] = rng.random(int(np.count_nonzero(passing))) < keep
+    return RectangleFamily._from_mask(grid, mask)
 
 
 def _lemma_a_trial(grid, rng, alpha):
@@ -414,10 +411,11 @@ def _spec_call(spec):
 
 # -------------------------------------------------------------------- parser
 
-def _add_common(p):
+def _add_common(p, seed=True):
     p.add_argument("--output", help="also write the report to this path")
     p.add_argument("--format", choices=["json", "csv"])
-    p.add_argument("--seed", type=int)  # absent: 0, or the theorem config's seed
+    if seed:
+        p.add_argument("--seed", type=int)  # absent: 0, or the theorem config's seed
 
 
 @functools.cache
@@ -447,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("decompose", "full martingale difference decomposition")
     p.add_argument("--input", dest="f", metavar="INPUT", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
 
     p = command("norms", "norm engines")
     p.add_argument("quantity", choices=["sf", "h1", "bmo-little", "bmo-dyadic"])
@@ -473,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", dest="f", metavar="INPUT", required=True)
     p.add_argument("--iter", type=int)
     p.add_argument("--check-a1", action="store_true")
-    _add_common(p)
+    _add_common(p, seed=False)
 
     p = command("tau", "A1-weight cutoff construction")
     p.add_argument("--set", dest="E", metavar="SET", required=True,
@@ -482,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--kmax", type=int)
-    _add_common(p)
+    _add_common(p, seed=False)
 
     for name, help_text in (
         ("verify", "certify an inequality over randomized trials"),

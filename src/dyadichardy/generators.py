@@ -7,7 +7,6 @@ sequences carry exact unit mass on supports of measure 2^{-n}.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np

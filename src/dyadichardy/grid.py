@@ -13,6 +13,7 @@ factors, coordinate-major within a factor).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,11 +125,6 @@ class DyadicCube:
     def measure(self) -> float:
         return 2.0 ** (-len(self.coords) * self.level)
 
-    def contains_cell(self, pos: tuple, depth: int) -> bool:
-        """Does this cube contain the finest cell at coords `pos` (grid depth `depth`)?"""
-        shift = depth - self.level
-        return all(c == (p >> shift) for c, p in zip(self.coords, pos))
-
     def key(self) -> str:
         """Canonical string form "i:j:(coords)"."""
         return f"{self.factor}:{self.level}:({','.join(map(str, self.coords))})"
@@ -165,12 +161,6 @@ class DyadicRectangle:
             for c in q.coords:
                 sl.append(slice(c * width, (c + 1) * width))
         return tuple(sl)
-
-    def cell_indices(self, grid: ProductGrid) -> np.ndarray:
-        """Sorted flat indices of the finest cells covered by this rectangle."""
-        idx = np.zeros(grid.shape, dtype=bool)
-        idx[self.cell_slices(grid)] = True
-        return np.flatnonzero(idx.ravel())
 
     def sort_key(self):
         return tuple((q.level, q.coords) for q in self.cubes)
@@ -288,22 +278,13 @@ class GridFunction:
     def l2_sq(self):
         return (self.values * self.values).sum() * self.grid.cell_volume
 
-    def l1_norm(self):
-        return np.abs(self.values).sum() * self.grid.cell_volume
-
     def linf(self):
         return float(np.abs(self.values.astype(np.float64)).max()) if self.values.size else 0.0
 
     def slice_at(self, i: int, pos: tuple) -> "GridFunction":
         """Freeze factor i's variable at finest cell `pos`; function on the reduced grid."""
-        axes = self.grid.factor_axes(i)
-        pos = tuple(int(p) for p in pos)
-        if len(pos) != self.grid.factor_dims[i]:
-            raise GridError("slice position has wrong number of coordinates")
-        indexer = [slice(None)] * len(self.grid.shape)
-        for a, p in zip(axes, pos):
-            indexer[a] = p
-        return GridFunction(self.grid.reduce(i), self.values[tuple(indexer)])
+        index = _slice_index(self.grid, i, pos)
+        return GridFunction(self.grid.reduce(i), self.values[index])
 
     def _binop(self, other, op):
         if isinstance(other, GridFunction):
@@ -346,49 +327,138 @@ class GridFunction:
         return cls(grid, vals.reshape(grid.shape))
 
 
+def _slice_index(grid: ProductGrid, i: int, pos) -> tuple:
+    """Value-array index that fixes factor i's axes at its finest cell `pos`."""
+    if grid.d < 2:
+        raise GridError("slicing requires d >= 2")
+    if not 0 <= i < grid.d:
+        raise GridError(f"factor index {i} out of range")
+    pos = tuple(int(p) for p in pos)
+    if len(pos) != grid.factor_dims[i]:
+        raise GridError("slice position has wrong number of coordinates")
+    index = [slice(None)] * grid.n
+    for a, p in zip(grid.factor_axes(i), pos):
+        index[a] = p
+    return tuple(index)
+
+
+def _axis_levels(grid: ProductGrid, levels) -> list:
+    """(factor, level) per value-array axis."""
+    out = []
+    for i, j in enumerate(levels):
+        out.extend([(i, j)] * grid.factor_dims[i])
+    return out
+
+
+def _blocks(a: np.ndarray, sides) -> np.ndarray:
+    """View `a` as (sides..., block entries...): axis k splits into sides[k]
+    contiguous blocks, and the block axes come last, in axis order."""
+    n = a.ndim
+    split = a.reshape([m for s, b in zip(a.shape, sides) for m in (b, s // b)])
+    return split.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+
+
+# Cube tables.  A factor's dyadic cubes are indexed level-major, then by
+# their coordinates in C order, so a table with one such axis per factor
+# lists rectangles in `DyadicRectangle.sort_key` order when raveled.
+
+def _cube_start(n: int, j: int) -> int:
+    """Index of an n-axis factor's first level-j cube: sum_{l<j} 2^{nl}."""
+    return (2 ** (n * j) - 1) // (2 ** n - 1)
+
+
+def _table_shape(grid: ProductGrid, top: int = 0) -> list:
+    """Cube-table shape with per-factor levels 0..J_i - 1 + top."""
+    return [_cube_start(n, depth + top) for n, depth in zip(grid.factor_dims, grid.depths)]
+
+
+def _cube_index(n: int, level: int, coords) -> int:
+    return _cube_start(n, level) + int(np.ravel_multi_index(tuple(coords), (2 ** level,) * n))
+
+
+def _table_index(grid: ProductGrid, rect) -> tuple:
+    """A rectangle's cube-table index; GridError if it is not Delta-eligible on
+    `grid`, ValueError if a cube has the wrong number of coordinates."""
+    if not isinstance(rect, DyadicRectangle) or len(rect.cubes) != grid.d:
+        raise GridError("rectangle factor count does not match grid")
+    for q, depth in zip(rect.cubes, grid.depths):
+        if not 0 <= q.level <= depth - 1:
+            raise GridError(f"cube level {q.level} not Delta-eligible (need <= {depth - 1})")
+    return tuple(_cube_index(n, q.level, q.coords) for n, q in zip(grid.factor_dims, rect.cubes))
+
+
+def _rectangle_at(grid: ProductGrid, index) -> DyadicRectangle:
+    """The rectangle at one cube-table index."""
+    cubes = []
+    for i, (n, k) in enumerate(zip(grid.factor_dims, index)):
+        j = next(j for j in itertools.count() if _cube_start(n, j + 1) > k)
+        cubes.append(DyadicCube(i, j, np.unravel_index(k - _cube_start(n, j), (2 ** j,) * n)))
+    return DyadicRectangle(tuple(cubes))
+
+
+def _place(table: np.ndarray, grid: ProductGrid, levels, block: np.ndarray) -> None:
+    """Write a level tuple's (2^j per axis...) array into a cube table; leading
+    axes beyond the grid's are batch axes, in front in both."""
+    starts = [_cube_start(n, j) for n, j in zip(grid.factor_dims, levels)]
+    counts = tuple(2 ** (n * j) for n, j in zip(grid.factor_dims, levels))
+    index = (..., *(slice(a, a + c) for a, c in zip(starts, counts)))
+    table[index] = block.reshape(block.shape[:block.ndim - grid.n] + counts)
+
+
+def _family_logs(grid: ProductGrid) -> list:
+    """Per factor, -log2 |Q_i| along its axis of the family table, shaped to broadcast."""
+    return [np.repeat(n * np.arange(depth), [2 ** (n * j) for j in range(depth)])
+            .reshape([-1 if k == i else 1 for k in range(grid.d)])
+            for i, (n, depth) in enumerate(zip(grid.factor_dims, grid.depths))]
+
+
 class RectangleFamily:
-    """A finite duplicate-free set of Delta-eligible dyadic rectangles over one grid."""
+    """A finite duplicate-free set of Delta-eligible dyadic rectangles over one grid,
+    held as one boolean cube table (levels 0..J_i - 1 per factor); `.members`
+    and iteration build the rectangles, in canonical order, on demand."""
 
     def __init__(self, grid: ProductGrid, members):
         self.grid = grid
-        seen = {}
+        self._mask = np.zeros(_table_shape(grid), dtype=bool)
         for rect in members:
-            if len(rect.cubes) != grid.d:
-                raise GridError("rectangle factor count does not match grid")
-            for i, q in enumerate(rect.cubes):
-                if not 0 <= q.level <= grid.depths[i] - 1:
-                    raise GridError(
-                        f"cube level {q.level} not Delta-eligible (need <= {grid.depths[i] - 1})"
-                    )
-            seen[rect] = None
-        self.members = tuple(sorted(seen, key=DyadicRectangle.sort_key))
+            self._mask[_table_index(grid, rect)] = True
+
+    @classmethod
+    def _from_mask(cls, grid: ProductGrid, mask: np.ndarray) -> "RectangleFamily":
+        family = cls.__new__(cls)
+        family.grid, family._mask = grid, mask
+        return family
+
+    @property
+    def members(self) -> tuple:
+        return tuple(self)
 
     def __len__(self):
-        return len(self.members)
+        return int(np.count_nonzero(self._mask))
 
     def __iter__(self):
-        return iter(self.members)
+        return (_rectangle_at(self.grid, k) for k in zip(*np.nonzero(self._mask)))
 
     def __contains__(self, rect):
-        return rect in set(self.members)
+        try:
+            return bool(self._mask[_table_index(self.grid, rect)])
+        except (GridError, ValueError):
+            return False
 
     def __eq__(self, other):
         return (
             isinstance(other, RectangleFamily)
             and self.grid == other.grid
-            and self.members == other.members
+            and bool(np.array_equal(self._mask, other._mask))
         )
 
     def __repr__(self):
-        return f"RectangleFamily(d={self.grid.d}, size={len(self.members)})"
+        return f"RectangleFamily(d={self.grid.d}, size={len(self)})"
 
 
 def eligible_rectangle_count(grid: ProductGrid) -> int:
     """prod_i sum_{j=0}^{J_i-1} 2^{n_i j}."""
-    total = 1
-    for n_i, j_i in zip(grid.factor_dims, grid.depths):
-        total *= sum(2 ** (n_i * j) for j in range(j_i))
-    return total
+    return math.prod(_table_shape(grid))
 
 
 def _factor_cubes(grid: ProductGrid, i: int, levels) -> list:
@@ -408,11 +478,7 @@ def enumerate_rectangles(grid: ProductGrid, max_count: int = DEFAULT_RECTANGLE_C
         raise ResourceCapError(
             f"{count} rectangles exceed the cap of {max_count}; raise max_count if intended"
         )
-    per_factor = [
-        _factor_cubes(grid, i, range(grid.depths[i])) for i in range(grid.d)
-    ]
-    members = [DyadicRectangle(cubes) for cubes in itertools.product(*per_factor)]
-    return RectangleFamily(grid, members)
+    return RectangleFamily._from_mask(grid, np.ones(_table_shape(grid), dtype=bool))
 
 
 def slice_family(family: RectangleFamily, i: int, pos: tuple) -> RectangleFamily:
@@ -422,39 +488,17 @@ def slice_family(family: RectangleFamily, i: int, pos: tuple) -> RectangleFamily
     family and Q_i contains the position }, over the reduced grid.
     """
     grid = family.grid
-    if grid.d < 2:
-        raise GridError("slicing requires d >= 2")
-    if not 0 <= i < grid.d:
-        raise GridError(f"factor index {i} out of range")
-    pos = tuple(int(p) for p in pos)
-    if len(pos) != grid.factor_dims[i]:
-        raise GridError("slice position has wrong number of coordinates")
-    depth = grid.depths[i]
-    reduced = grid.reduce(i)
-    members = []
-    for rect in family:
-        if rect.cubes[i].contains_cell(pos, depth):
-            kept = [q for k, q in enumerate(rect.cubes) if k != i]
-            members.append(
-                DyadicRectangle(tuple(
-                    DyadicCube(k, q.level, q.coords) for k, q in enumerate(kept)
-                ))
-            )
-    return RectangleFamily(reduced, members)
+    index = _slice_index(grid, i, pos)
+    depth, n, pos = grid.depths[i], grid.factor_dims[i], [index[a] for a in grid.factor_axes(i)]
+    # Per level, the one factor-i cube that contains the position.
+    holding = [_cube_index(n, j, [p >> (depth - j) for p in pos]) for j in range(depth)]
+    sliced = family._mask.take(holding, axis=i).any(axis=i)
+    return RectangleFamily._from_mask(grid.reduce(i), sliced)
 
 
 def slice_mask(mask: OpenSetMask, i: int, pos: tuple) -> OpenSetMask:
     """The factor-i slice of a mask at a finest cell position of factor i."""
-    grid = mask.grid
-    if grid.d < 2:
-        raise GridError("slicing requires d >= 2")
-    pos = tuple(int(p) for p in pos)
-    if len(pos) != grid.factor_dims[i]:
-        raise GridError("slice position has wrong number of coordinates")
-    indexer = [slice(None)] * len(grid.shape)
-    for a, p in zip(grid.factor_axes(i), pos):
-        indexer[a] = p
-    return OpenSetMask(grid.reduce(i), mask.cells[tuple(indexer)])
+    return OpenSetMask(mask.grid.reduce(i), mask.cells[_slice_index(mask.grid, i, pos)])
 
 
 def rectangles_in(
@@ -470,12 +514,16 @@ def rectangles_in(
     """
     if alpha is not None and alpha <= 0:
         raise GridError("size cap must be positive")
-    members = []
-    for rect in family:
-        if alpha is not None:
-            m = rect.measure
-            if (m >= alpha) if strict else (m > alpha):
-                continue
-        if mask.contains_rectangle(rect):
-            members.append(rect)
-    return RectangleFamily(family.grid, members)
+    if mask.grid != family.grid:
+        raise GridError("mask grid does not match family grid")
+    grid, cells = family.grid, mask.cells
+    inside = np.empty_like(family._mask)
+    for levels in itertools.product(*map(range, grid.depths)):
+        # R lies in the mask when every one of its cells does.
+        sides = [2 ** j for _, j in _axis_levels(grid, levels)]
+        _place(inside, grid, levels,
+               _blocks(cells, sides).all(axis=tuple(range(cells.ndim, 2 * cells.ndim))))
+    if alpha is not None:
+        measure = np.ldexp(1.0, -sum(_family_logs(grid)))
+        inside &= (measure < alpha) if strict else (measure <= alpha)
+    return RectangleFamily._from_mask(grid, family._mask & inside)

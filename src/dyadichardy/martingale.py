@@ -26,14 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, ResourceCapError
-from .grid import (
-    DEFAULT_RECTANGLE_CAP,
-    DyadicRectangle,
-    GridFunction,
-    ProductGrid,
-    _factor_cubes,
-    eligible_rectangle_count,
-)
+from .grid import (DEFAULT_RECTANGLE_CAP, DyadicRectangle, GridFunction, ProductGrid,
+                   _axis_levels, _blocks, _factor_cubes, eligible_rectangle_count)
 
 PRUNE_TOL = 1e-14
 
@@ -70,11 +64,12 @@ def _level_tensors(values: np.ndarray, grid: ProductGrid) -> list:
     E_{j+1} - E_j at child resolution (2^{j+1} cells per axis) is the next
     factor's input.  The summation order per value is the one the same
     block means take on the full grid, so results do not depend on the
-    resolution the other axes are held at.
+    resolution the other axes are held at.  Leading axes of `values` beyond
+    the grid's are batch axes.
     """
     stage = [((), values)]
     for i in range(grid.d):
-        axes = grid.factor_axes(i)
+        axes = [values.ndim - grid.n + a for a in grid.factor_axes(i)]
         nxt = []
         for levels, vals in stage:
             means = [_coarsen(vals, axes, 2 ** k) for k in range(grid.depths[i] + 1)]
@@ -101,14 +96,6 @@ def _refine(child: np.ndarray, grid: ProductGrid, levels) -> np.ndarray:
     for axis, (i, j) in enumerate(_axis_levels(grid, levels)):
         child = np.repeat(child, 2 ** (grid.depths[i] - j - 1), axis=axis)
     return child
-
-
-def _axis_levels(grid: ProductGrid, levels) -> list:
-    """(factor, level) per value-array axis."""
-    out = []
-    for i, j in enumerate(levels):
-        out.extend([(i, j)] * grid.factor_dims[i])
-    return out
 
 
 def _child_cell_volume(grid: ProductGrid, levels) -> float:
@@ -235,14 +222,6 @@ class Decomposition:
 
     def hybrid_energy(self):
         return sum(h.l2_sq() for h in self.hybrid.values())
-
-
-def _blocks(a: np.ndarray, sides) -> np.ndarray:
-    """View `a` as (sides..., block entries...): axis k splits into sides[k]
-    contiguous blocks, and the block axes come last, in axis order."""
-    n = a.ndim
-    split = a.reshape([m for s, b in zip(a.shape, sides) for m in (b, s // b)])
-    return split.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
 
 
 def _hybrids(values: np.ndarray, grid: ProductGrid) -> dict:

@@ -20,14 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, ResourceCapError
-from .grid import (
-    DyadicRectangle,
-    GridFunction,
-    OpenSetMask,
-    ProductGrid,
-    _factor_cubes,
-)
-from .martingale import _LevelView, _axis_levels, _blocks, _level_tensors, _refine
+from .grid import (GridFunction, OpenSetMask, ProductGrid, _axis_levels, _blocks, _place,
+                   _rectangle_at, _table_shape)
+from .martingale import _LevelView, _level_tensors, _refine
 from .windows import (BLOCK, AlignedBox, axis_sides, iter_last_factor_means, iter_shapes,
                       iter_window_sums)
 
@@ -63,19 +58,20 @@ def h1_norm(f: GridFunction, include_mean: bool = False) -> float:
     return value
 
 
-def _energy_blocks(f: GridFunction) -> list:
-    """[(levels, ||Delta_R f||_2^2 for every R at those levels)], canonical order.
+def _energy_blocks(values: np.ndarray, grid: ProductGrid) -> list:
+    """[(levels, ||Delta_R f||_2^2 for every R at those levels)], canonical order,
+    for f with these values.
 
     Each array has one axis per grid axis, 2^j entries along a factor at
     level j, so its C-order ravel lists the rectangles in canonical order.
+    Leading axes of `values` beyond the grid's are batch axes, kept in front.
     """
-    grid = f.grid
     out = []
-    for levels, child in _level_tensors(f.values, grid):
+    for levels, child in _level_tensors(values, grid):
         sq = child * child
         # Sum over each rectangle's finest cells, one axis at a time: a sum
         # of repeated squares rounds by its term count, as on the full grid.
-        for axis, (i, j) in enumerate(_axis_levels(grid, levels)):
+        for axis, (i, j) in enumerate(_axis_levels(grid, levels), values.ndim - grid.n):
             width = 2 ** (grid.depths[i] - j)
             shp = sq.shape
             sq = np.repeat(sq, width // 2, axis=axis)
@@ -106,7 +102,7 @@ class _EnergyView(_LevelView):
 
 def rectangle_energies(f: GridFunction) -> Mapping:
     """||Delta_R f||_2^2 for every eligible R, a read-only view in canonical order."""
-    return _EnergyView(f.grid, _energy_blocks(f))
+    return _EnergyView(f.grid, _energy_blocks(f.values, f.grid))
 
 
 def packing_energy(f: GridFunction, mask: OpenSetMask, alpha: float | None = None) -> float:
@@ -116,7 +112,7 @@ def packing_energy(f: GridFunction, mask: OpenSetMask, alpha: float | None = Non
         raise GridError("mask grid does not match function grid")
     if alpha is not None and alpha <= 0:
         raise GridError("size cap must be positive")
-    return _packed_energy([(lv, e) for lv, e in _energy_blocks(f)
+    return _packed_energy([(lv, e) for lv, e in _energy_blocks(f.values, f.grid)
                            if alpha is None or _measure(f.grid, lv) <= alpha], mask.cells)
 
 
@@ -180,7 +176,7 @@ def little_bmo_norm(f: GridFunction, p: int = 2, rect_class: str = "aligned") ->
 
     rect_class "dyadic": products of dyadic cubes; "aligned": products of
     grid-aligned cubes of any integer cell side and in-domain position.  The
-    witness is the first maximum (`_factor_cubes` product order; shape-major,
+    witness is the first maximum (canonical rectangle order; shape-major,
     then start-lexicographic)."""
     if p not in (1, 2):
         raise GridError("p must be 1 or 2")
@@ -190,20 +186,14 @@ def little_bmo_norm(f: GridFunction, p: int = 2, rect_class: str = "aligned") ->
     vals = f.values.astype(np.float64)
     best, witness = -1.0, None
     if rect_class == "dyadic":
-        # One entry per dyadic rectangle (finest cubes included) indexed by each
-        # factor's cube index, so the first argmax is in product order.  The
-        # c = 2^{nj} cubes of level j start at sum_{l<j} 2^{nl} = (c - 1)/(2^n - 1).
-        cubes = [_factor_cubes(grid, i, range(depth + 1)) for i, depth in enumerate(grid.depths)]
-        table = np.empty([len(c) for c in cubes])
+        # A cube table with the finest cubes, so the first argmax is in product order.
+        table = np.empty(_table_shape(grid, 1))
         for levels in itertools.product(*(range(depth + 1) for depth in grid.depths)):
-            osc = _oscillations(_blocks(vals, [2 ** j for _, j in _axis_levels(grid, levels)]),
-                                grid.n, p)
-            counts = [2 ** (n * j) for n, j in zip(grid.factor_dims, levels)]
-            starts = [(c - 1) // (2 ** n - 1) for n, c in zip(grid.factor_dims, counts)]
-            table[tuple(slice(a, a + c) for a, c in zip(starts, counts))] = osc.reshape(counts)
+            _place(table, grid, levels, _oscillations(
+                _blocks(vals, [2 ** j for _, j in _axis_levels(grid, levels)]), grid.n, p))
         pos = np.unravel_index(int(np.argmax(table)), table.shape)
         best = float(table[pos])
-        witness = DyadicRectangle(tuple(c[k] for c, k in zip(cubes, pos)))
+        witness = _rectangle_at(grid, pos)
     elif p == 2:
         # Side axes first, so the first argmax in C order is a yield's first
         # maximum; runs hold many sides, so across yields `top`, the least
@@ -253,7 +243,7 @@ def _rect_data(f: GridFunction, alpha: float | None = None):
     grid = f.grid
     flat = np.arange(grid.cell_count).reshape(grid.shape)
     measures, energies, cells = [np.zeros(0)], [np.zeros(0)], []
-    for levels, energy in _energy_blocks(f):
+    for levels, energy in _energy_blocks(f.values, grid):
         measure = _measure(grid, levels)
         if alpha is None or measure <= alpha:
             measures.append(np.full(energy.size, measure))
@@ -565,7 +555,7 @@ def bmo_d_norm_cut(f: GridFunction, alpha: float | None = None) -> PackingResult
     ids, parents, children = _box_graph(grid)
     # |B| = 2^-shift[levels] for a box B at those levels.
     shift = {lv: sum(n * j for n, j in zip(grid.factor_dims, lv)) for lv in ids}
-    blocks = [(lv, energy) for lv, energy in _energy_blocks(f)
+    blocks = [(lv, energy) for lv, energy in _energy_blocks(f.values, grid)
               if alpha is None or 2.0 ** -shift[lv] <= alpha]
     rects = np.concatenate([np.zeros(0, dtype=int)] + [ids[lv][e > 0] for lv, e in blocks])
     # Each energy is num / den exactly (den a power of two for floats); the

@@ -16,14 +16,8 @@ import numpy as np
 
 from .errors import GridError
 from . import generators
-from .grid import (
-    GridFunction,
-    OpenSetMask,
-    ProductGrid,
-    RectangleFamily,
-    slice_family,
-)
-from .martingale import _blocks, delta_R
+from .grid import (GridFunction, OpenSetMask, ProductGrid, RectangleFamily, _blocks,
+                   _family_logs, _place, slice_family)
 from .maximal import TauParams, tau_build
 from .norms import (
     _aligned_oscillations,
@@ -67,6 +61,17 @@ class InequalityReport:
         }
 
 
+def _family_energies(values: np.ndarray, grid: ProductGrid, mask: np.ndarray) -> np.ndarray:
+    """Sum of ||Delta_R f||_2^2 over the R that a family table marks, left to
+    right in family order; leading axes of `values` and `mask` are batch axes."""
+    table = np.empty(mask.shape)
+    for levels, energy in _energy_blocks(values, grid):
+        _place(table, grid, levels, energy)
+    # Energies are >= 0, so adding 0.0 for an unmarked R changes no partial sum.
+    flat = np.where(mask, table, 0.0).reshape(mask.shape[:mask.ndim - grid.d] + (-1,))
+    return np.cumsum(flat, axis=-1)[..., -1]
+
+
 def check_lemma_a(f: GridFunction, family: RectangleFamily, i: int) -> InequalityReport:
     """Family energy vs the slicewise bound in factor i.
 
@@ -79,14 +84,17 @@ def check_lemma_a(f: GridFunction, family: RectangleFamily, i: int) -> Inequalit
         raise GridError("the slice inequality needs d >= 2")
     if family.grid != grid:
         raise GridError("family grid does not match function grid")
-    lhs = float(sum(delta_R(f, r).l2_sq(grid) for r in family))
+    lhs = float(_family_energies(f.values, grid, family._mask))
+    # Every slice at once: factor i's axes go in front, as one batch axis.
+    n_i = grid.factor_dims[i]
+    slices = np.moveaxis(f.values, grid.factor_axes(i), range(n_i))
+    sliced = [slice_family(family, i, pos)._mask
+              for pos in itertools.product(range(grid.axis_side(i)), repeat=n_i)]
     fcv = grid.factor_cell_volume(i)
     rhs = 0.0
-    side = grid.axis_side(i)
-    for pos in itertools.product(range(side), repeat=grid.factor_dims[i]):
-        fs = f.slice_at(i, pos)
-        fam_s = slice_family(family, i, pos)
-        rhs += fcv * float(sum(delta_R(fs, r).l2_sq(fs.grid) for r in fam_s))
+    for energy in _family_energies(slices.reshape((-1,) + slices.shape[n_i:]), grid.reduce(i),
+                                   np.stack(sliced)).tolist():
+        rhs += fcv * energy
     return InequalityReport(
         name="lemma-a",
         lhs=lhs,
@@ -124,34 +132,20 @@ def split_family(family: RectangleFamily, alpha: float) -> SplitResult:
         raise GridError("the pigeonhole split needs d >= 2")
     if alpha <= 0:
         raise GridError("alpha must be positive")
-    n = grid.n
-    log2_alpha = math.log2(alpha)
-    for rect in family:
-        neg_l = -sum(
-            grid.factor_dims[i] * rect.cubes[i].level for i in range(grid.d)
-        )
-        if not neg_l < log2_alpha:
-            raise GridError(f"rectangle {rect.key()} has |R| >= alpha")
+    n, log2_alpha, logs = grid.n, math.log2(alpha), _family_logs(grid)
+    total = sum(logs)
+    big = RectangleFamily._from_mask(grid, family._mask & ~(-total < log2_alpha))
+    if len(big):
+        raise GridError(f"rectangle {next(iter(big)).key()} has |R| >= alpha")
     exponents = tuple((n - grid.factor_dims[i]) / n for i in range(grid.d))
-    buckets = [[] for _ in range(grid.d)]
-    uncovered = []
-    for rect in family:
-        hit = False
-        for i in range(grid.d):
-            neg_li = -sum(
-                grid.factor_dims[k] * rect.cubes[k].level
-                for k in range(grid.d) if k != i
-            )
-            # |R'_i| < alpha^{N_i}  <=>  n * log2|R'_i| < (n - n_i) * log2(alpha)
-            if n * neg_li < (n - grid.factor_dims[i]) * log2_alpha:
-                buckets[i].append(rect)
-                hit = True
-        if not hit:
-            uncovered.append(rect)
+    # |R'_i| < alpha^{N_i}  <=>  n * log2|R'_i| < (n - n_i) * log2(alpha)
+    hits = [family._mask & (n * (logs[i] - total) < (n - grid.factor_dims[i]) * log2_alpha)
+            for i in range(grid.d)]
+    uncovered = RectangleFamily._from_mask(grid, family._mask & ~np.logical_or.reduce(hits))
     return SplitResult(
-        families=tuple(RectangleFamily(grid, b) for b in buckets),
-        covered=not uncovered,
-        uncovered=uncovered,
+        families=tuple(RectangleFamily._from_mask(grid, hit) for hit in hits),
+        covered=not len(uncovered),
+        uncovered=list(uncovered),
         exponents=exponents,
     )
 
@@ -205,7 +199,7 @@ def check_lemma_b_base(
     if grid.d != 1:
         raise GridError("the base-case check is one-parameter only")
     product = phi * b
-    energies = [e for _, e in _energy_blocks(product)]
+    energies = [e for _, e in _energy_blocks(product.values, grid)]
     bmo_b = little_bmo_norm(b, p=2, rect_class="aligned").value
     vals = product.values
     worst = None

@@ -32,15 +32,6 @@ class AlignedBox:
     starts: tuple
     sides: tuple
 
-    def slices(self, grid: ProductGrid) -> tuple:
-        sl = []
-        axis = 0
-        for i in range(grid.d):
-            for _ in range(grid.factor_dims[i]):
-                sl.append(slice(self.starts[axis], self.starts[axis] + self.sides[i]))
-                axis += 1
-        return tuple(sl)
-
 
 def iter_shapes(grid: ProductGrid):
     """All per-factor cube sides (in cells)."""

@@ -3,20 +3,21 @@ oracles (every box is sliced out of the value array and reduced with
 `.mean()`, and the first maximum wins on a strict `>`), the data they
 are compared on, the A1-weight series loop that recomputes every
 maximal iterate, the interval kernel that ran the suffix max over
-every start/end pair, and the window walk that took every factor before
-the last one side at a time."""
+every start/end pair, the window walk that took every factor before the
+last one side at a time, and the rectangle-family operations that built
+one `DyadicRectangle` at a time and called `delta_R` per member."""
 
 import itertools
 import math
 
 import numpy as np
 
-from dyadichardy import (DyadicRectangle, GridFunction, OpenSetMask, OscResult, ProductGrid,
-                         TauParams, generators, tau_build)
+from dyadichardy import (DyadicCube, DyadicRectangle, GridFunction, OpenSetMask, OscResult,
+                         ProductGrid, RectangleFamily, TauParams, delta_R, generators, tau_build)
 from dyadichardy.errors import ContractionError, GridError
 from dyadichardy.grid import _factor_cubes
 from dyadichardy.maximal import strong_maximal
-from dyadichardy.verify import PASS_TOL, InequalityReport
+from dyadichardy.verify import PASS_TOL, InequalityReport, SplitResult
 from dyadichardy.windows import (BLOCK, AlignedBox, _prefix, axis_sides, cover_max,
                                  iter_last_factor_means, iter_shapes, last_factor_max, window_sums)
 
@@ -255,3 +256,134 @@ def little_bmo_p2_aligned_per_side(f):
                 starts = tuple(int(x) for x in pos[1:])
                 witness = AlignedBox(starts, shape + (int(sides[pos[0]]),))
     return OscResult(math.sqrt(max(best, 0.0)), witness, 2, "aligned")
+
+
+# ---------------------------------------------------- object-based families
+
+def _contains_cell(cube, pos, depth):
+    """Does `cube` contain the finest cell at coords `pos` (grid depth `depth`)?"""
+    shift = depth - cube.level
+    return all(c == (p >> shift) for c, p in zip(cube.coords, pos))
+
+
+def slice_family_oracle(family, i, pos):
+    """slice_family, one rectangle at a time."""
+    grid = family.grid
+    if grid.d < 2:
+        raise GridError("slicing requires d >= 2")
+    if not 0 <= i < grid.d:
+        raise GridError(f"factor index {i} out of range")
+    pos = tuple(int(p) for p in pos)
+    if len(pos) != grid.factor_dims[i]:
+        raise GridError("slice position has wrong number of coordinates")
+    depth = grid.depths[i]
+    reduced = grid.reduce(i)
+    members = []
+    for rect in family:
+        if _contains_cell(rect.cubes[i], pos, depth):
+            kept = [q for k, q in enumerate(rect.cubes) if k != i]
+            members.append(
+                DyadicRectangle(tuple(
+                    DyadicCube(k, q.level, q.coords) for k, q in enumerate(kept)
+                ))
+            )
+    return RectangleFamily(reduced, members)
+
+
+def rectangles_in_oracle(family, mask, alpha=None, strict=False):
+    """rectangles_in, one containment test per rectangle."""
+    if alpha is not None and alpha <= 0:
+        raise GridError("size cap must be positive")
+    members = []
+    for rect in family:
+        if alpha is not None:
+            m = rect.measure
+            if (m >= alpha) if strict else (m > alpha):
+                continue
+        if mask.contains_rectangle(rect):
+            members.append(rect)
+    return RectangleFamily(family.grid, members)
+
+
+def split_family_oracle(family, alpha):
+    """split_family, one bucket test per rectangle."""
+    grid = family.grid
+    if grid.d < 2:
+        raise GridError("the pigeonhole split needs d >= 2")
+    if alpha <= 0:
+        raise GridError("alpha must be positive")
+    n = grid.n
+    log2_alpha = math.log2(alpha)
+    for rect in family:
+        neg_l = -sum(
+            grid.factor_dims[i] * rect.cubes[i].level for i in range(grid.d)
+        )
+        if not neg_l < log2_alpha:
+            raise GridError(f"rectangle {rect.key()} has |R| >= alpha")
+    exponents = tuple((n - grid.factor_dims[i]) / n for i in range(grid.d))
+    buckets = [[] for _ in range(grid.d)]
+    uncovered = []
+    for rect in family:
+        hit = False
+        for i in range(grid.d):
+            neg_li = -sum(
+                grid.factor_dims[k] * rect.cubes[k].level
+                for k in range(grid.d) if k != i
+            )
+            # |R'_i| < alpha^{N_i}  <=>  n * log2|R'_i| < (n - n_i) * log2(alpha)
+            if n * neg_li < (n - grid.factor_dims[i]) * log2_alpha:
+                buckets[i].append(rect)
+                hit = True
+        if not hit:
+            uncovered.append(rect)
+    return SplitResult(
+        families=tuple(RectangleFamily(grid, b) for b in buckets),
+        covered=not uncovered,
+        uncovered=uncovered,
+        exponents=exponents,
+    )
+
+
+def check_lemma_a_oracle(f, family, i):
+    """check_lemma_a with one delta_R call per member and per sliced member."""
+    grid = f.grid
+    if grid.d < 2:
+        raise GridError("the slice inequality needs d >= 2")
+    if family.grid != grid:
+        raise GridError("family grid does not match function grid")
+    lhs = float(sum(delta_R(f, r).l2_sq(grid) for r in family))
+    fcv = grid.factor_cell_volume(i)
+    rhs = 0.0
+    side = grid.axis_side(i)
+    for pos in itertools.product(range(side), repeat=grid.factor_dims[i]):
+        fs = f.slice_at(i, pos)
+        fam_s = slice_family_oracle(family, i, pos)
+        rhs += fcv * float(sum(delta_R(fs, r).l2_sq(fs.grid) for r in fam_s))
+    return InequalityReport(
+        name="lemma-a",
+        lhs=lhs,
+        rhs=rhs,
+        hypotheses={"d >= 2": grid.d >= 2},
+        witness={"factor": i, "family_size": len(family)},
+    )
+
+
+def enumerate_rectangles_oracle(grid):
+    """Every Delta-eligible rectangle, built cube by cube in product order."""
+    per_factor = [
+        _factor_cubes(grid, i, range(grid.depths[i])) for i in range(grid.d)
+    ]
+    return [DyadicRectangle(cubes) for cubes in itertools.product(*per_factor)]
+
+
+def random_subfamily_oracle(grid, rng, keep=0.3, alpha=None, strict=False):
+    """cli._random_subfamily, one scalar draw per rectangle under the cap."""
+    members = []
+    for rect in enumerate_rectangles_oracle(grid):
+        if alpha is not None:
+            m = rect.measure
+            if (m >= alpha) if strict else (m > alpha):
+                continue
+        if rng.random() < keep:
+            members.append(rect)
+    return RectangleFamily(grid, members)

@@ -145,6 +145,30 @@ def test_run_rejects_output_flags(tmp_path, capsys, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["decompose", "maximal", "tau"])
+def test_seed_rejected_where_unused(tmp_path, capsys, command):
+    # these commands draw nothing, so a seed is a usage error, as flag and as spec key
+    from dyadichardy import ProductGrid, cli, generators
+    grid = ProductGrid((1, 1), (2, 2))
+    if command == "tau":
+        path = tmp_path / "E.json"
+        path.write_text(json.dumps(generators.cell_mask(grid, [0, 1]).to_dict()))
+        argv, inputs, params = ["tau", "--set", str(path), "--delta", "0.5"], "E", {"delta": 0.5}
+    else:
+        path = _write_function(tmp_path, (1, 1), (2, 2), 1)
+        argv, inputs, params = [command, "--input", str(path)], "f", {}
+    assert cli.main([*argv, "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --seed 1" in captured.err
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"schema": "experiment-v1", "command": command,
+                                "inputs": {inputs: {"path": str(path)}},
+                                "parameters": dict(params, seed=1)}))
+    assert cli.main(["run", "--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parameters.seed" in captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["generate", "--p", "1", "--kind", "constant", "--grid", GRID_1D],
      "unrecognized arguments: --p 1"),
@@ -579,7 +603,8 @@ def test_every_spec_parameter_is_honoured_or_rejected(tmp_path, capsys, command,
 # sha256 of stdout and the exit code of `run --spec` for each spec below, and
 # of `--help` for the program and each command, recorded before `run --spec`
 # stopped translating specs into flags and temporary files.  `run --help` was
-# re-recorded when `run` stopped taking --output, --format and --seed.
+# re-recorded when `run` stopped taking --output, --format and --seed, and
+# `decompose`, `maximal` and `tau --help` when they stopped taking --seed.
 PINNED_GRID_16 = {"factor_dims": [1, 1], "depths": [2, 2]}
 PINNED_GRID_64 = {"factor_dims": [1, 1], "depths": [3, 3]}
 PINNED_SPECS = {
@@ -627,10 +652,10 @@ PINNED_SPEC_DIGESTS = {
 PINNED_HELP_DIGESTS = {
     "": "c30e9ce7c7a874c0d441c64ca9cbc01c48f3764603d0e95c3cb078a40a586c0d",
     "generate": "76ba11eecb0335a5578a794a2ff36f4d20a3d8e463ee956a921bb8f38ee40a1c",
-    "decompose": "e7a9ea4d9b63162e5d679055c380e323c2e847a35488403df69d9f6c5a27ac15",
+    "decompose": "24cbf95bf88d3425b91c25eb14c3eee3a3ca1ce903cf14b1b21ad95676d97b9f",
     "norms": "e9be647dfe27774985e47e47489c116cb010a448fcfe5202db06ff2da9c397e7",
-    "maximal": "50b280d1580a913bdf8c405ff58bc1bb9981653435834d5393dbe460345f09b4",
-    "tau": "5c685e63ef717676cd02e877c15f90c16913fa0ae8179d842a3a6de150cefe7d",
+    "maximal": "831dfaa8ef2c038aee070914577eb6099b610f49b89b95a5e45cb6ac8566f72a",
+    "tau": "3bda5c908872d85701aa2e8b7a349a56d111a1b56ce742275e5c64436022e8f9",
     "verify": "ea192fce1f949bc2485b1860afe59489c4a8999afd68b14b7c8c33299c986512",
     "demo": "c2af102c00419801a7a174bb9315fd56e24cbde02e2034cc8326ceb6539ef4fc",
     "run": "5fcb4aa8c651b2ebd895634b45a9435d8962deb1f90d5c34ebf1ae812c034a93",

@@ -152,6 +152,14 @@ def test_rectangles_in_single_cell_empty():
     assert len(rectangles_in(fam, mask)) == 0
 
 
+def test_rectangles_in_rejects_mask_of_another_grid():
+    # (1,1)x(2,2) and (2,)x(2,) both hold 4x4 cells; their rectangles differ
+    fam = enumerate_rectangles(ProductGrid((1, 1), (2, 2)))
+    with pytest.raises(GridError):
+        rectangles_in(fam, OpenSetMask.full(ProductGrid((2,), (2,))))
+    assert "not a rectangle" not in fam
+
+
 def test_function_integrals_exact():
     g = ProductGrid((1, 1), (1, 1))
     f = GridFunction(g, np.array([[1.0, 2.0], [3.0, 4.0]]))

@@ -22,11 +22,15 @@ from dyadichardy import (
     check_lemma_b,
     check_lemma_b_base,
     enumerate_rectangles,
+    rectangles_in,
+    slice_family,
     split_family,
     theorem_demo,
 )
-from dyadichardy import generators
-from oracles import check_abs_bmo_oracle, oracle_data
+from dyadichardy import cli, generators
+from oracles import (check_abs_bmo_oracle, check_lemma_a_oracle, oracle_data,
+                     random_subfamily_oracle, rectangles_in_oracle, slice_family_oracle,
+                     split_family_oracle)
 
 
 def random_function(grid, seed):
@@ -115,6 +119,71 @@ def test_split_coverage_random_d3():
         for sub in res.families:
             covered |= set(sub.members)
         assert covered == set(fam.members)
+
+
+def _outcome(call, *args):
+    """A call's result, or the text of the GridError it raises."""
+    try:
+        return call(*args)
+    except GridError as exc:
+        return f"GridError: {exc}"
+
+
+def _split_view(res):
+    if isinstance(res, str):
+        return res
+    return res.to_dict(), [list(fam) for fam in res.families], res.uncovered
+
+
+FAMILY_GRIDS = [((1,), (5,)), ((1, 1), (3, 3)), ((1, 2), (2, 1)), ((2, 1), (2, 3)),
+                ((1, 1, 1), (2, 2, 2))]
+# (alpha, strict) of the draw: no cap, |R| < 1/4, |R| <= 1/4.
+FAMILY_CAPS = [(None, False), (0.25, True), (0.25, False)]
+
+
+@pytest.mark.parametrize("cap", FAMILY_CAPS)
+@pytest.mark.parametrize("dims, depths", FAMILY_GRIDS)
+def test_family_operations_match_object_oracles(dims, depths, cap):
+    """The family engine against the one-rectangle-at-a-time code it replaced:
+    the same draws, order, membership, slices, containment, split buckets
+    and errors, and Lemma A's sides to 1e-13 relative."""
+    g = ProductGrid(dims, depths)
+    alpha, strict = cap
+    everything = enumerate_rectangles(g)
+    assert list(everything) == sorted(everything, key=DyadicRectangle.sort_key)
+    stranger = DyadicRectangle(tuple(DyadicCube(i, 0, (0,) * (n + 1)) for i, n in enumerate(dims)))
+    for seed in range(10):
+        rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        fam = cli._random_subfamily(g, rng, alpha=alpha, strict=strict)
+        oracle = random_subfamily_oracle(g, rng_oracle, alpha=alpha, strict=strict)
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+        assert list(fam) == list(fam.members) == list(oracle.members)
+        assert list(fam) == sorted(fam, key=DyadicRectangle.sort_key)
+        assert len(fam) == len(oracle) and fam == oracle
+        members = set(oracle.members)
+        assert [r in fam for r in everything] == [r in members for r in everything]
+        assert stranger not in fam
+        mask = OpenSetMask(g, rng.random(g.shape) < 0.7)
+        for cap_in in FAMILY_CAPS:
+            assert (list(rectangles_in(fam, mask, *cap_in))
+                    == list(rectangles_in_oracle(fam, mask, *cap_in)))
+        assert (_split_view(_outcome(split_family, fam, 0.25))
+                == _split_view(_outcome(split_family_oracle, fam, 0.25)))
+        f = GridFunction(g, rng.uniform(-1, 1, g.shape))
+        for i in range(g.d):
+            pos = tuple(int(p) for p in rng.integers(g.axis_side(i), size=dims[i]))
+            sliced = _outcome(slice_family, fam, i, pos)
+            sliced_oracle = _outcome(slice_family_oracle, fam, i, pos)
+            assert (sliced if isinstance(sliced, str) else list(sliced)) == (
+                sliced_oracle if isinstance(sliced_oracle, str) else list(sliced_oracle))
+            rep = _outcome(check_lemma_a, f, fam, i)
+            rep_oracle = _outcome(check_lemma_a_oracle, f, fam, i)
+            if isinstance(rep_oracle, str):
+                assert rep == rep_oracle
+                continue
+            assert rep.witness == rep_oracle.witness
+            assert rep.lhs == pytest.approx(rep_oracle.lhs, rel=1e-13, abs=0)
+            assert rep.rhs == pytest.approx(rep_oracle.rhs, rel=1e-13, abs=0)
 
 
 def test_lemma_b_constant_b():
