@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import jsonschema
 import numpy as np
@@ -115,21 +116,17 @@ _FROM_DICT = {
 
 
 def _jsonable(obj):
-    """Recursively convert report objects to plain JSON-serializable data."""
+    """Plain JSON data from a report: one `tolist()` per array."""
+    if obj is None or type(obj) in (str, int, float, bool):
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return list(obj) if set(map(type, obj)) <= {float, int} else [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, OpenSetMask):
-        return obj.to_dict()
-    if isinstance(obj, GridFunction):
-        return obj.to_dict()
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, AlignedBox):
         return {"starts": list(obj.starts), "sides": list(obj.sides)}
     if hasattr(obj, "key") and callable(obj.key):
@@ -137,6 +134,23 @@ def _jsonable(obj):
     if hasattr(obj, "to_dict") and callable(obj.to_dict):
         return _jsonable(obj.to_dict())
     return obj
+
+
+def _dumps(obj, level=0) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` of plain JSON data, byte for
+    byte; a flat list of finite numbers is written by one `repr`."""
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict) and obj:
+        items = (encode_basestring_ascii(k) + ": " + _dumps(v, level + 1)
+                 for k, v in sorted(obj.items()))
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if not isinstance(obj, list) or not obj:
+        return json.dumps(obj)
+    if set(map(type, obj)) <= {float, int}:
+        text = repr(obj)[1:-1]
+        if "n" not in text:  # of a number's reprs only nan and inf have an n
+            return "[" + pad + text.replace(", ", "," + pad) + pad[:-2] + "]"
+    return "[" + pad + ("," + pad).join(_dumps(v, level + 1) for v in obj) + pad[:-2] + "]"
 
 
 def _flatten_csv_rows(obj, prefix=""):
@@ -167,7 +181,7 @@ def _emit(report, output=None, format="json") -> None:
             writer.writerow([key, value])
         text = buf.getvalue()
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _dumps(report) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)

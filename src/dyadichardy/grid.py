@@ -233,7 +233,7 @@ class OpenSetMask:
         return OpenSetMask(self.grid, self.cells | other.cells)
 
     def to_dict(self) -> dict:
-        return {"grid": self.grid.to_dict(), "cells": [int(i) for i in self.cell_indices()]}
+        return {"grid": self.grid.to_dict(), "cells": self.cell_indices().tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "OpenSetMask":
@@ -313,7 +313,7 @@ class GridFunction:
     def to_dict(self) -> dict:
         return {
             "grid": self.grid.to_dict(),
-            "values": [float(v) for v in self.values.ravel()],
+            "values": self.values.astype(np.float64).ravel().tolist(),
         }
 
     @classmethod

@@ -159,7 +159,8 @@ def _oscillations(boxes: np.ndarray, n: int, p: int) -> np.ndarray:
 
 def _aligned_oscillations(vals: np.ndarray, grid: ProductGrid):
     """(shape, osc) per aligned window shape in `iter_shapes` order, osc[starts]
-    the mean absolute oscillation of the window at those starts."""
+    the mean absolute oscillation of the window at those starts; leading axes
+    of `vals` before the grid's are carried into osc."""
     visits = math.prod(sum(((L - s + 1) * s) ** n for s in range(1, L + 1))
                        for n, L in zip(grid.factor_dims, map(grid.axis_side, range(grid.d))))
     if visits > ALIGNED_VISIT_CAP:
@@ -167,7 +168,8 @@ def _aligned_oscillations(vals: np.ndarray, grid: ProductGrid):
             f"p = 1 oscillations over aligned boxes visit {visits} cells, over the cap "
             f"of {ALIGNED_VISIT_CAP}; use rect_class 'dyadic'")
     for shape in iter_shapes(grid):
-        boxes = np.lib.stride_tricks.sliding_window_view(vals, axis_sides(grid, shape))
+        boxes = np.lib.stride_tricks.sliding_window_view(vals, axis_sides(grid, shape),
+                                                         axis=tuple(range(-grid.n, 0)))
         yield shape, _oscillations(boxes, grid.n, 1)
 
 
@@ -229,14 +231,6 @@ class PackingResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64)
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
-
-
 def _rect_data(f: GridFunction, alpha: float | None = None):
     """(measures, energies, sorted flat cell indices) of every rectangle in
     canonical order, optionally restricted to |R| <= alpha."""
@@ -286,8 +280,11 @@ def bmo_d_norm_exact(
     acc = np.zeros(masks.shape)
     for e, cell_idx in zip(energies, cells):
         rmask = int((1 << cell_idx).sum())
-        acc[(masks & rmask) == rmask] += e
-    sizes = _popcount(masks)
+        np.add(acc, e, out=acc, where=(masks & rmask) == rmask)
+    sizes = np.zeros(1, dtype=np.int64)  # sizes[k] = popcount(k), doubling one bit at a time
+    for _ in range(m_cells):
+        sizes = np.concatenate([sizes, sizes + 1])
+    sizes = sizes[1:]
     ratios = acc / (sizes * grid.cell_volume)
     top = float(ratios.max())
     cand = np.flatnonzero(ratios == top)

@@ -7,6 +7,7 @@ import sys
 import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 GRID_1D = '{"factor_dims":[1],"depths":[2]}'
 
@@ -682,3 +683,69 @@ def test_help_digests(capsys, monkeypatch, command):
     code, out = _main_stdout(capsys, [command, "--help"] if command else ["--help"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HELP_DIGESTS[command]
+
+
+# sha256 of stdout of flag invocations that the pinned specs do not reach,
+# recorded before reports were written by `cli._dumps`.  An input is
+# generators.random_uniform on the given grid with seed 21; `decompose`
+# also writes its --output file, which must hold the same bytes.
+PINNED_FLAG_RUNS = {
+    "decompose (1,1)x(4,4)": (((1, 1), (4, 4)), ["decompose"]),
+    "decompose (1,)x(10,)": (((1,), (10,)), ["decompose"]),
+    "norms sf": (((1, 2), (3, 2)), ["norms", "sf"]),
+    "norms bmo-dyadic": (((1, 1), (3, 3)), ["norms", "bmo-dyadic"]),
+    "norms bmo-dyadic --exact": (((1, 1), (2, 2)), ["norms", "bmo-dyadic", "--exact"]),
+    "norms bmo-dyadic --shift": (((1, 1), (3, 3)), ["norms", "bmo-dyadic", "--shift", "1,1"]),
+    "norms bmo-little p1 dyadic": (((1, 1), (3, 3)),
+                                   ["norms", "bmo-little", "--p", "1", "--rect-class", "dyadic"]),
+    "norms bmo-little p2 aligned": (((1, 1), (3, 3)),
+                                    ["norms", "bmo-little", "--p", "2", "--rect-class", "aligned"]),
+    "verify abs-bmo (1,1)x(3,3)": (None, ["verify", "abs-bmo", "--config", json.dumps(
+        {"grid": PINNED_GRID_64}), "--trials", "2", "--seed", "9"]),
+    "norms sf --format csv": (((1, 1), (2, 2)), ["norms", "sf", "--format", "csv"]),
+}
+PINNED_FLAG_DIGESTS = {
+    "decompose (1,1)x(4,4)": "a8ef99109e03c3d918ce173ea2fe135ef84d1d39e3763615bcd69025076a2abb",
+    "decompose (1,)x(10,)": "f809cc768ddf20d06bea28f72bbbee45e2b5cbfd1cf5ad673955d34f6f70c870",
+    "norms sf": "066468f14d66a394db1c138459b3be2fa8e6ddef0fdebae90b1c724435bce6cf",
+    "norms bmo-dyadic": "72afab017a006c2f9e490a33d9e410692ffccf2af00c3f2eba38290e7a6ed461",
+    "norms bmo-dyadic --exact": "ff3755ed2e65c27920a74bc67cc675d4cc7d3ea338eb556c4ac931bbf6cd92c4",
+    "norms bmo-dyadic --shift": "363729b76832ecfdbca14c587888ecd1f70435b8a51442c7f8f9928603ef886e",
+    "norms bmo-little p1 dyadic": "5bd2b7918a0c39c0d562c494a8783e3769df1142eefa7375f5c4ff14a2ad386c",
+    "norms bmo-little p2 aligned": "cf8ae9469fd4f3a689f1f7f827db4aa22f0f15ca1a00c966479faf552966a781",
+    "verify abs-bmo (1,1)x(3,3)": "38b7c5a0b17c3353fac3bf87682dc38690b75b51e8a7a5eca15317a3461ad903",
+    "norms sf --format csv": "cd76b3aeff91f6cae40063f86464d124b579930e4a8753d8af9e2a8efea619dd",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_FLAG_RUNS)
+def test_flag_stdout_digests(tmp_path, capsys, name):
+    dims_depths, argv = PINNED_FLAG_RUNS[name]
+    if dims_depths is not None:
+        argv = [*argv, "--input", _write_function(tmp_path, *dims_depths, 21)]
+    output = tmp_path / "out.json"
+    if argv[0] == "decompose":
+        argv = [*argv, "--output", str(output)]
+    code, out = _main_stdout(capsys, argv)
+    digests = {hashlib.sha256(out.encode()).hexdigest()}
+    if argv[0] == "decompose":
+        digests.add(hashlib.sha256(output.read_bytes()).hexdigest())
+    assert (code, digests) == (0, {PINNED_FLAG_DIGESTS[name]})
+
+
+_json_floats = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 5e-324])
+_json_ints = st.integers(-2 ** 70, 2 ** 70)
+_json_text = st.text() | st.sampled_from(['"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é \u2028 \U0001f600"])
+_json_values = st.recursive(
+    st.none() | st.booleans() | _json_ints | _json_floats | _json_text
+    | st.lists(_json_floats | _json_ints),
+    lambda inner: st.lists(inner) | st.dictionaries(_json_text, inner),
+    max_leaves=25)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_json_values)
+def test_dumps_matches_json_dumps(value):
+    from dyadichardy.cli import _dumps
+    assert _dumps(value) + "\n" == json.dumps(value, indent=2, sort_keys=True) + "\n"

@@ -279,11 +279,12 @@ def test_abs_bmo_random_trials():
 
 
 @pytest.mark.parametrize("dims, depths", [((1,), (4,)), ((2,), (2,)), ((1, 1), (2, 2)),
-                                          ((1, 2), (2, 1)), ((1, 1, 1), (1, 1, 2))])
+                                          ((1, 2), (2, 1)), ((1, 1, 1), (1, 1, 2)),
+                                          ((1, 1), (3, 3))])
 @pytest.mark.parametrize("kind", ["uniform", "integer", "mixed"])
 def test_abs_bmo_matches_per_box_oracle(dims, depths, kind):
     grid = ProductGrid(dims, depths)
-    for seed in (0, 2):
+    for seed in range(6):
         f, g = oracle_data(grid, kind, seed), oracle_data(grid, kind, seed + 1)
         assert check_abs_bmo(f, g).to_dict() == check_abs_bmo_oracle(f, g).to_dict()
 
