@@ -36,7 +36,6 @@ from .norms import (
     bmo_d_norm_cut,
     bmo_d_norm_exact,
     bmo_d_norm_search,
-    exact_cell_cap,
     h1_norm,
     little_bmo_norm,
     packing_energy,
@@ -78,7 +77,7 @@ __all__ = [
     "decomposition_from_dict", "decomposition_to_dict", "delta_R",
     "expectation", "reconstruct",
     "OscResult", "PackingResult", "bmo_d_norm_cut", "bmo_d_norm_exact",
-    "bmo_d_norm_search", "exact_cell_cap", "h1_norm", "little_bmo_norm",
+    "bmo_d_norm_search", "h1_norm", "little_bmo_norm",
     "packing_energy", "rectangle_energies", "shifted_packing", "square_function",
     "TauParams", "TauReport", "a1_weight", "check_a1", "iterate_maximal",
     "strong_maximal", "strong_maximal_naive", "tau_build",

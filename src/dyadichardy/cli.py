@@ -39,6 +39,7 @@ from .grid import (
 from .martingale import decompose, decomposition_to_dict, reconstruct
 from .maximal import TauParams, check_a1 as a1_constant, iterate_maximal, tau_build
 from .norms import (
+    DEFAULT_EXACT_CAP,
     bmo_d_norm_cut,
     bmo_d_norm_exact,
     h1_norm,
@@ -190,8 +191,9 @@ def _emit(report, output=None, format="json") -> None:
 
 
 # ---------------------------------------------------------------- subcommands
-# `seed`, like --seed, is read by generate, verify and demo; norms accepts it
-# and `restarts` unused; decompose, maximal and tau reject it.
+# `seed`, like --seed, is read by generate and the randomized verify checks;
+# norms accepts it and `restarts` unused; the theorem demo, decompose,
+# maximal and tau reject it.
 
 def cmd_generate(*, kind, grid, params=None, seed=None):
     params = json.loads(params) if params else {}
@@ -208,7 +210,7 @@ def cmd_decompose(*, f):
     return report
 
 
-def cmd_norms(quantity, *, f, exact=False, restarts=12, cap=None, cap_cells=None,
+def cmd_norms(quantity, *, f, exact=False, restarts=12, cap=None, cap_cells=DEFAULT_EXACT_CAP,
               shift=None, p=2, rect_class="aligned", include_mean=False, seed=None):
     """`restarts` is accepted and unused: no engine behind bmo-dyadic is random."""
     if quantity == "sf":
@@ -320,13 +322,11 @@ _CHECKS = {
 }
 
 
-def _theorem_config(config, seed=None) -> TheoremRunConfig:
+def _theorem_config(config) -> TheoremRunConfig:
     grid = _config_grid(config, ProductGrid((1, 1), (5, 5)))
     params = config.get("parameters", {})
-    kwargs = {name: params[name] for name in (*CONFIG_KEYS, "seed") if name in params}
-    if seed is not None:
-        kwargs["seed"] = seed
-    return TheoremRunConfig(grid=grid, **kwargs)
+    return TheoremRunConfig(grid=grid, **{name: params[name] for name in CONFIG_KEYS
+                                          if name in params})
 
 
 def cmd_verify(check, *, config=None, trials=None, seed=None):
@@ -337,7 +337,10 @@ def cmd_verify(check, *, config=None, trials=None, seed=None):
         if trials is not None:
             raise GridError("the theorem demo runs once and takes no --trials "
                             "(spec key parameters.trials)")
-        run_config = _theorem_config(config, seed)
+        if seed is not None or "seed" in config.get("parameters", {}):
+            raise GridError("the theorem demo draws no random numbers and takes no --seed "
+                            "(spec key parameters.seed)")
+        run_config = _theorem_config(config)
         report = verify_mod.theorem_demo(run_config)
         final = report["records"][-1]
         if run_config.generator == "h1-bounded":
@@ -429,7 +432,7 @@ def _add_common(p, seed=True):
     p.add_argument("--output", help="also write the report to this path")
     p.add_argument("--format", choices=["json", "csv"])
     if seed:
-        p.add_argument("--seed", type=int)  # absent: 0, or the theorem config's seed
+        p.add_argument("--seed", type=int)  # absent: 0; the theorem demo rejects it
 
 
 @functools.cache

@@ -82,12 +82,10 @@ def random_uniform(
 
 def _cell_centers(grid: ProductGrid) -> list:
     out = []
-    axis = 0
     for i in range(grid.d):
         side = grid.axis_side(i)
         for _ in range(grid.factor_dims[i]):
             out.append((np.arange(side) + 0.5) / side)
-            axis += 1
     return out
 
 

@@ -299,7 +299,7 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
         "grid": grid.to_dict(),
         "pure": pure,
         "hybrid": {
-            ",".join(map(str, sorted(t))): [float(v) for v in h.values.ravel()]
+            ",".join(map(str, sorted(t))): h.values.astype(np.float64).ravel().tolist()
             for t, h in dec.hybrid.items()
         },
     }

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ from .martingale import _LevelView, _level_tensors, _refine
 from .windows import (BLOCK, AlignedBox, axis_sides, iter_last_factor_means, iter_shapes,
                       iter_window_sums)
 
-EXACT_CAP_ENV = "DH_CAP_CELLS"
 DEFAULT_EXACT_CAP = 22
 # The bit-mask oracle holds a few arrays with one entry per mask (int64 masks,
 # float64 sums and ratios, popcount temporaries); refuse above this many bytes.
@@ -246,15 +244,8 @@ def _rect_data(f: GridFunction, alpha: float | None = None):
     return np.concatenate(measures), np.concatenate(energies), cells
 
 
-def exact_cell_cap() -> int:
-    env = os.environ.get(EXACT_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_EXACT_CAP
-
-
 def bmo_d_norm_exact(
-    f: GridFunction, cap_cells: int | None = None, alpha: float | None = None
+    f: GridFunction, cap_cells: int = DEFAULT_EXACT_CAP, alpha: float | None = None
 ) -> PackingResult:
     """Exact max over all nonempty cell masks of packing energy / measure.
 
@@ -262,11 +253,10 @@ def bmo_d_norm_exact(
     canonical (integer) mask order.  `alpha` restricts to |R| <= alpha.
     """
     grid = f.grid
-    cap = cap_cells if cap_cells is not None else exact_cell_cap()
     m_cells = grid.cell_count
-    if m_cells > cap:
+    if m_cells > cap_cells:
         raise ResourceCapError(
-            f"{m_cells} cells exceed the exact-oracle cap of {cap}; "
+            f"{m_cells} cells exceed the exact-oracle cap of {cap_cells}; "
             "use bmo_d_norm_search"
         )
     if 2 ** m_cells * EXACT_BYTES_PER_MASK > EXACT_MEMORY_CAP:

@@ -12,14 +12,10 @@ from hypothesis import given, settings, strategies as st
 GRID_1D = '{"factor_dims":[1],"depths":[2]}'
 
 
-def run_cli(args, env=None):
-    import os
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "dyadichardy.cli"] + args,
-        capture_output=True, text=True, env=full_env,
+        capture_output=True, text=True,
     )
 
 
@@ -70,18 +66,17 @@ def test_bmo_dyadic_cap_exit_3(tmp_path):
                    "--grid", '{"factor_dims":[1,1],"depths":[3,2]}',
                    "--output", str(big)])
     assert res.returncode == 0
-    res = run_cli(["norms", "bmo-dyadic", "--input", str(big), "--exact"],
-                  env={"DH_CAP_CELLS": "22"})
+    res = run_cli(["norms", "bmo-dyadic", "--input", str(big), "--exact"])
     assert res.returncode == 3
     assert "cap" in res.stderr
 
 
-def test_cap_cells_env_override(atom_path):
+def test_cap_cells_flag_override(atom_path):
     # 4-cell input passes even with a 4-cell cap, fails with a 3-cell cap
-    assert run_cli(["norms", "bmo-dyadic", "--input", atom_path, "--exact"],
-                   env={"DH_CAP_CELLS": "4"}).returncode == 0
-    assert run_cli(["norms", "bmo-dyadic", "--input", atom_path, "--exact"],
-                   env={"DH_CAP_CELLS": "3"}).returncode == 3
+    assert run_cli(["norms", "bmo-dyadic", "--input", atom_path, "--exact",
+                    "--cap-cells", "4"]).returncode == 0
+    assert run_cli(["norms", "bmo-dyadic", "--input", atom_path, "--exact",
+                    "--cap-cells", "3"]).returncode == 3
 
 
 def test_tau_report(tmp_path):
@@ -429,24 +424,23 @@ def test_cli_import_loads_no_scipy_or_networkx():
     assert res.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", [["verify", "theorem"], ["demo"]])
-def test_theorem_seed_flag_overrides_config_seed(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, spec_command", [
+    (["verify", "theorem"], {"command": "verify", "subcommand": "theorem"}),
+    (["demo"], {"command": "demo"})])
+def test_theorem_seed_exit_1(tmp_path, capsys, command, spec_command):
+    # The demo draws no random numbers: a seed from the flag, the config's
+    # parameters or a spec is a usage error naming both, and nothing runs.
     from dyadichardy import cli
-    seeds = []
-    theorem_demo = cli.verify_mod.theorem_demo
-
-    def recording(config):
-        seeds.append(config.seed)
-        return theorem_demo(config)
-
-    monkeypatch.setattr(cli.verify_mod, "theorem_demo", recording)
-    config, seeded = tmp_path / "config.json", tmp_path / "seeded.json"
+    config, seeded, spec = tmp_path / "config.json", tmp_path / "seeded.json", tmp_path / "spec.json"
+    seeded_config = dict(THEOREM_CONFIG, parameters={"horizon": 1, "seed": 4})
     config.write_text(json.dumps(THEOREM_CONFIG))
-    seeded.write_text(json.dumps(dict(THEOREM_CONFIG, parameters={"horizon": 1, "seed": 4})))
-    flag = _main_stdout(capsys, [*command, "--config", str(config), "--seed", "4"])
-    assert flag == _main_stdout(capsys, [*command, "--config", str(seeded)])
-    _main_stdout(capsys, [*command, "--config", str(config)])
-    assert seeds == [4, 4, 0]
+    seeded.write_text(json.dumps(seeded_config))
+    spec.write_text(json.dumps(dict(seeded_config, schema="experiment-v1", **spec_command)))
+    for argv in ([*command, "--config", str(config), "--seed", "4"],
+                 [*command, "--config", str(seeded)], ["run", "--spec", str(spec)]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--seed" in err and "parameters.seed" in err
 
 
 def test_verify_without_seed_reports_seed_0(capsys):
@@ -606,6 +600,8 @@ def test_every_spec_parameter_is_honoured_or_rejected(tmp_path, capsys, command,
 # stopped translating specs into flags and temporary files.  `run --help` was
 # re-recorded when `run` stopped taking --output, --format and --seed, and
 # `decompose`, `maximal` and `tau --help` when they stopped taking --seed.
+# `demo` was re-recorded when its phi_tau_bmo_search became phi_tau_bmo: the
+# parent's stdout with that key renamed is byte-identical.
 PINNED_GRID_16 = {"factor_dims": [1, 1], "depths": [2, 2]}
 PINNED_GRID_64 = {"factor_dims": [1, 1], "depths": [3, 3]}
 PINNED_SPECS = {
@@ -646,7 +642,7 @@ PINNED_SPEC_DIGESTS = {
     "norms bmo-little smooth-bump": (0, "6875d82ba150ae7e3988d6deceb5d4a12d14196ad0a19a1a31712cb651ecc390"),
     "tau": (0, "3ba6d5ff7462f0f08550d9af775b10581484a8025952d95d6daa0c41621aab30"),
     "generate": (0, "5c1b6dce8965094ea945d5797736da0fb59392ffa97d599bed3be8b1945d42ac"),
-    "demo": (2, "a6b04346e2a3ddc6867944570be62887dc82dd938d83cf629eaaca2507e038bc"),
+    "demo": (2, "a4c59172494d6105537b9ce88e845e91b5dadc46ca36b86ea9f74a422d5a5366"),
     "verify lemma-b": (0, "09ad4431f76bbe62e807148df479e648b44a1979b3436c3b08174884327bcdce"),
     "verify abs-bmo": (0, "e35bb962bbed2b7eb4011dfa960e70f6b85120ea3610948a3be43f5d489a9721"),
 }

@@ -260,6 +260,24 @@ def test_lemma_b_base_golden_digests():
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest, key
 
 
+def test_lemma_b_base_deep_golden_digest():
+    # A deeper grid, alpha = 1/64 so the coarse levels are skipped, and a
+    # three-dimensional factor; recorded from the per-cube scan of L^2
+    # oscillations that the dyadic oscillation kernel replaced.
+    reports = []
+    for dims, depths in (((1,), (8,)), ((3,), (2,))):
+        g = ProductGrid(dims, depths)
+        phi = generators.smooth_bump(g)
+        for seed in range(3):
+            b_vals = np.random.default_rng(seed).uniform(-1, 1, g.shape)
+            b = GridFunction(g, b_vals / np.abs(b_vals).max())
+            for alpha in (1.0, 1.0 / 64):
+                reports.append(json.dumps(check_lemma_b_base(phi, b, alpha).to_dict(),
+                                          sort_keys=True))
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
+        "545359aef67498913c2575e0e08335efb056c0814fc1aed1544a5943aceebb46")
+
+
 def test_abs_bmo_nonnegative_f():
     g = ProductGrid((1, 1), (1, 1))
     f = GridFunction(g, np.abs(np.random.default_rng(0).uniform(0.1, 1, g.shape)))
@@ -327,11 +345,14 @@ def test_theorem_demo_spike_small_scale():
 # sha256 of json.dumps(theorem_demo(config), sort_keys=True), recorded before
 # the A1 iterates stopped at a fixed point and each distinct E_n got a single
 # tau_build; the spike route's iterates reach a fixed point on E_0..E_3.
+# Re-recorded when phi_tau_bmo_search (the local search's value) became
+# phi_tau_bmo (the min-cut's): the reports were byte-identical once the key
+# was renamed.
 THEOREM_DEMO_DIGESTS = {
     ("h1-bounded", (1, 1), (3, 3), 8):
-        "7a916f8a1c1061f7dcd13f5fb03e023b4f569f867d9f3b66dde3bca741515f39",
+        "912e8ee8a7916f8e898c5157920839499c60177970417040571f32cc035aa309",
     ("l1-spike", (1,), (6,), 4):
-        "1be02b6f800ffc63f00908052704a91f21d7826bb02eaf51518c93e365ad9855",
+        "2200d190007fb1780c040e86710e5d73fb103e41ac4bb773965784d9bd8c6f60",
 }
 
 
@@ -347,12 +368,29 @@ def test_theorem_demo_spike_512_golden_digest():
     # The spike route on one 512-cell row with the benchmark's parameters, so
     # that every strong_maximal call runs the interval kernel over many blocks
     # of starts; recorded from the kernel that ran the suffix max over every
-    # start/end pair.
+    # start/end pair, and re-recorded under the key rename above.
     rep = theorem_demo(TheoremRunConfig(
         grid=ProductGrid((1,), (9,)), generator="l1-spike", epsilon=1e-2,
         horizon=7, search_restarts=2, seed=0))
     digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
-    assert digest == "43826854a357d1400195ca8c81d4ad749002d0832a3e13df6a061ae7d14735ea"
+    assert digest == "a681d8e7b21c40d1d0de15dff8b8a9583d8092a12298aeb5a2339adfa9636cff"
+
+
+@pytest.mark.parametrize("generator, dims, depths", [("h1-bounded", (1, 1), (2, 2)),
+                                                     ("l1-spike", (1,), (5,))])
+def test_theorem_demo_runs_without_the_search(monkeypatch, generator, dims, depths):
+    # The demo's packing value comes from the min-cut engine; it draws no
+    # random numbers and never calls the seeded local search.
+    from dyadichardy import verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theorem_demo drew random numbers or ran the search")
+
+    monkeypatch.setattr(verify, "bmo_d_norm_search", refuse, raising=False)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    rep = theorem_demo(TheoremRunConfig(grid=ProductGrid(dims, depths), generator=generator,
+                                        horizon=3))
+    assert rep["phi_tau_bmo"] >= 0.0 and "phi_tau_bmo_search" not in rep
 
 
 def test_theorem_demo_one_cutoff_per_bad_set(monkeypatch):
