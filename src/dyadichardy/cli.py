@@ -333,11 +333,12 @@ def cmd_verify(check, *, config=None, trials=None, seed=None):
     """Report lines: one per trial (per horizon step for the theorem), then
     {"summary": ...}."""
     config = config or {}
+    params = config.get("parameters", {})
     if check == "theorem":
-        if trials is not None:
+        if trials is not None or "trials" in params:
             raise GridError("the theorem demo runs once and takes no --trials "
                             "(spec key parameters.trials)")
-        if seed is not None or "seed" in config.get("parameters", {}):
+        if seed is not None or "seed" in params:
             raise GridError("the theorem demo draws no random numbers and takes no --seed "
                             "(spec key parameters.seed)")
         run_config = _theorem_config(config)
@@ -352,11 +353,12 @@ def cmd_verify(check, *, config=None, trials=None, seed=None):
         return [*report["records"], {"summary": summary}]
     run_trial, depth, verdict = _CHECKS[check]
     grid = _config_grid(config, ProductGrid((1, 1), (depth, depth)))
-    alpha = config.get("parameters", {}).get("alpha", 0.25)
-    trials = 20 if trials is None else trials
-    rng = np.random.default_rng(seed or 0)
+    alpha = params.get("alpha", 0.25)
+    trials = params.get("trials", 20) if trials is None else trials
+    seed = params.get("seed", 0) if seed is None else seed
+    rng = np.random.default_rng(seed)
     reports = [dict(run_trial(grid, rng, alpha), trial=t) for t in range(trials)]
-    summary = {"check": check, "trials": trials, "seed": seed or 0,
+    summary = {"check": check, "trials": trials, "seed": seed,
                "passed": all(r[verdict] for r in reports)}
     return [*reports, {"summary": summary}]
 

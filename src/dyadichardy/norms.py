@@ -429,11 +429,41 @@ def _box_graph(grid: ProductGrid):
     return ids, np.concatenate(parents), np.concatenate(children)
 
 
-def _edge_lists(tails: np.ndarray, edges: np.ndarray, n: int) -> list:
-    """Per node u in 0..n-1, the list of `edges` whose tail is u, in order."""
-    order = edges[np.argsort(tails, kind="stable")].tolist()
+def _edge_lists(tails: np.ndarray, n: int) -> list:
+    """Per node u in 0..n-1, the edges e with tails[e] == u: the forward
+    ones (e even) first, then the reverse ones, each in order."""
+    edges = np.arange(tails.size).reshape(-1, 2).T.ravel()
+    order = edges[np.argsort(tails[edges], kind="stable")].tolist()
     bounds = np.cumsum(np.bincount(tails, minlength=n)).tolist()
     return [order[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
+
+
+def _greedy_flow(adj: list, fwd: list, to: list, cap: list, s: int, t: int) -> None:
+    """Route each source edge, last first, down forward arcs only (the first
+    fwd[u] of adj[u]), in place on `cap`.  Only arcs out of s or into t can
+    fill (the rest hold more than the whole supply), and as pushes only use
+    capacity up, a node whose forward search dead-ends stays spent."""
+    ptr, spent = [0] * len(adj), [False] * len(adj)
+    for source in reversed(adj[s]):
+        path = [source]
+        while path:
+            u = to[path[-1]]
+            if u == t:
+                push = min(cap[path[0]], cap[path[-1]])
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                del path[-1 if cap[path[0]] else 0:]  # the full sink arc, or all
+                continue
+            edges, k = adj[u], ptr[u]
+            while k < fwd[u] and (not cap[edges[k]] or spent[to[edges[k]]]):
+                k += 1
+            ptr[u] = k
+            if k < fwd[u]:
+                path.append(edges[k])
+            else:
+                spent[u] = True
+                path.pop()
 
 
 def _max_flow(adj: list, to: list, cap: list, s: int, t: int) -> None:
@@ -528,7 +558,10 @@ def bmo_d_norm_cut(f: GridFunction, alpha: float | None = None) -> PackingResult
     first cut with no positive closure, where lambda is the norm
     (Goldberg).  The witness is the largest optimal mask, the cells that
     cannot reach the sink in the final residual graph, and `value` is its
-    recomputed packing ratio.
+    recomputed packing ratio.  Each flow starts from a greedy routing of
+    the source edges, finest level tuples first, down forward edges; Dinic
+    completes that valid flow, and since every maximum flow leaves the
+    same nodes unable to reach the sink, the start changes no witness.
     """
     grid = f.grid
     if alpha is not None and alpha <= 0:
@@ -565,7 +598,8 @@ def bmo_d_norm_cut(f: GridFunction, alpha: float | None = None) -> PackingResult
     tails = np.concatenate([cells, parents, np.full(len(rects), s)])
     heads = np.concatenate([np.full(cells.size, t), children, rects]).astype(tails.dtype)
     ends = np.stack([tails, heads], axis=1).ravel()
-    adj = _edge_lists(ends, np.arange(ends.size), t + 1)
+    adj = _edge_lists(ends, t + 1)
+    fwd = np.bincount(tails, minlength=t + 1).tolist()  # forward arcs per node
     to = np.stack([heads, tails], axis=1).ravel().tolist()
     feed = 2 * (cells.size + parents.size)
     cells = cells.tolist()
@@ -577,6 +611,7 @@ def bmo_d_norm_cut(f: GridFunction, alpha: float | None = None) -> PackingResult
         cap[0:2 * len(cells):2] = [N] * len(cells)
         cap[2 * len(cells):feed:2] = [k * sum(gains) + 1] * parents.size
         cap[feed::2] = [k * g for g in gains]
+        _greedy_flow(adj, fwd, to, cap, s, t)
         _max_flow(adj, to, cap, s, t)
         drains = _drains(adj, to, cap, t)
         # The nodes that cannot reach the sink form the largest optimal

@@ -398,6 +398,10 @@ def test_theorem_trials_flag_exit_1(tmp_path, capsys, command):
     code, out = _main_stdout(capsys, [*command, "--config", str(config)])
     assert code in (0, 2)
     assert len(out.splitlines()) == 3  # two records and the summary
+    config.write_text(json.dumps(dict(THEOREM_CONFIG, parameters={"horizon": 1, "trials": 3})))
+    assert cli.main([*command, "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--trials" in err and "parameters.trials" in err
 
 
 def test_run_spec_theorem_trials_exit_1(tmp_path, capsys):
@@ -441,6 +445,24 @@ def test_theorem_seed_exit_1(tmp_path, capsys, command, spec_command):
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and "--seed" in err and "parameters.seed" in err
+
+
+def test_verify_config_seed_and_trials_match_their_flags(tmp_path, capsys):
+    # A config's parameters.seed and parameters.trials run exactly what the
+    # flags run, and a flag wins over the config.
+    grid = {"factor_dims": [1, 1], "depths": [2, 2]}
+    config, plain = tmp_path / "config.json", tmp_path / "plain.json"
+    config.write_text(json.dumps({"grid": grid, "parameters": {"seed": 5, "trials": 3}}))
+    plain.write_text(json.dumps({"grid": grid}))
+    code, out = _main_stdout(capsys, ["verify", "abs-bmo", "--config", str(config)])
+    assert (code, out) == _main_stdout(
+        capsys, ["verify", "abs-bmo", "--config", str(plain), "--seed", "5", "--trials", "3"])
+    assert code == 0 and len(out.splitlines()) == 4
+    summary = json.loads(out.splitlines()[-1])["summary"]
+    assert (summary["seed"], summary["trials"]) == (5, 3)
+    flags = ["--seed", "6", "--trials", "2"]
+    assert _main_stdout(capsys, ["verify", "abs-bmo", "--config", str(config), *flags]) == \
+        _main_stdout(capsys, ["verify", "abs-bmo", "--config", str(plain), *flags])
 
 
 def test_verify_without_seed_reports_seed_0(capsys):

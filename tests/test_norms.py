@@ -466,19 +466,77 @@ def test_bmo_d_cut_upper_bound_is_smallest_float_above_optimum():
 def test_bmo_d_cut_witness_is_largest_optimal_mask():
     # Two equal atoms on disjoint dyadic intervals: each support, and their
     # union, attains the norm.  The oracle keeps the smallest; the cut the union.
+    from fractions import Fraction
     g = ProductGrid((1,), (3,))
     f = GridFunction(g, np.array([1.0, -1.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0]))
-    cut = bmo_d_norm_cut(f)
-    assert sorted(cut.witness.cell_indices().tolist()) == [0, 1, 4, 5]
+    assert sorted(bmo_d_norm_cut(f).witness.cell_indices().tolist()) == [0, 1, 4, 5]
     assert sorted(bmo_d_norm_exact(f).witness.cell_indices().tolist()) == [0, 1]
-    # Brute force: the witness is the union of every mask attaining the norm.
-    union = np.zeros(g.cell_count, dtype=bool)
-    for bits in range(1, 2 ** g.cell_count):
-        idx = [c for c in range(g.cell_count) if bits >> c & 1]
-        mask = OpenSetMask.from_cell_indices(g, idx)
-        if packing_energy(f, mask) / mask.measure == cut.value:
-            union[idx] = True
-    assert np.array_equal(union, cut.witness.cells.ravel())
+    # Values in {-1, 0, 1} at seeds where several masks tie at the optimum:
+    # there a different maximum flow would most likely change the witness.
+    inputs = [f] + [GridFunction(grid, np.random.default_rng(seed).integers(-1, 2, grid.shape)
+                                 .astype(float))
+                    for grid, seeds in ((g, (0, 3, 8, 13)), (ProductGrid((1, 1), (1, 2)), (13, 20)))
+                    for seed in seeds]
+    # Exact brute force: the witness is the union of every mask attaining the norm.
+    for k, f in enumerate(inputs):
+        n = f.grid.cell_count
+        masks = [OpenSetMask.from_cell_indices(f.grid, [c for c in range(n) if bits >> c & 1])
+                 for bits in range(1, 2 ** n)]
+        energies = [(r, Fraction(e)) for r, e in rectangle_energies(f).items()]
+        ratios = [sum(e for r, e in energies if mask.contains_rectangle(r)) / Fraction(mask.measure)
+                  for mask in masks]
+        best = max(ratios)
+        assert ratios.count(best) > 1, k
+        union = np.zeros(f.grid.shape, dtype=bool)
+        for mask, ratio in zip(masks, ratios):
+            if ratio == best:
+                union |= mask.cells
+        assert np.array_equal(union, bmo_d_norm_cut(f).witness.cells), k
+
+
+# sha256 of repr((repr(value), repr(upper_bound), cuts, boxes, rectangles))
+# followed by the witness's cell bytes, for (input, dims, depths, seed,
+# alpha, shift); "bump" is smooth_bump, "random" is random_uniform(seed).
+# The 3-factor inputs leave rectangles that the greedy start cannot route,
+# the bump takes two Dinkelbach cuts, and the last entry is shifted_packing.
+CUT_DIGESTS = {
+    ("random", (1, 1, 1), (3, 3, 3), 0, None, None):
+        "de691a60a0efc63416ba0eee9992f474009f25ea99d30fba46122b41f4d16430",
+    ("random", (1, 1, 1), (3, 3, 3), 1, None, None):
+        "db0c327280d755e308a8bf39f837db96cb58f741d2cd688df286cd90a7082c39",
+    ("random", (1, 1, 1), (3, 3, 3), 2, None, None):
+        "a50de8e2fd2a39a5c382da164adec81cafc033b10f255efe197b8d59b08dd070",
+    ("random", (1, 1), (5, 5), 0, None, None):
+        "54143ce676b635351384e3d368e441666c395aa10adad7bc224ebf2a370c8d8d",
+    ("random", (1, 1), (5, 5), 1, None, None):
+        "651054003a8328f8507e673b03c19137c36d5329efeede970df401989703627a",
+    ("random", (1, 2), (3, 2), 2, None, None):
+        "905055307965eefe008a944ee9927c738fca4fcc53abf098bb840ab846e26ada",
+    ("random", (1,), (9,), 0, None, None):
+        "65648cdcdb3c332a0000b7fd81bf462e14dacc361bd909a8f1c04d7144a5b1d0",
+    ("bump", (1, 1), (4, 4), 0, None, None):
+        "d3f093c4ede47308732198885abd58b7c5cf4315a1a88d063aada960288ae04e",
+    ("random", (1, 1, 1), (3, 3, 3), 3, 0.25, None):
+        "730db09223c7fd1343c9b89bd2ea199e2aeee9d941bdd64e2328f80b08179dbf",
+    ("random", (1, 1), (4, 4), 4, None, (3, 5)):
+        "4b2970553b39c4ec3ada21c0cda5b7651b5d96909122bd9d61889489378c491b",
+}
+
+
+def test_bmo_d_cut_golden_digests():
+    digests = {}
+    for kind, dims, depths, seed, alpha, shift in CUT_DIGESTS:
+        g = ProductGrid(dims, depths)
+        f = (generators.smooth_bump(g) if kind == "bump"
+             else generators.random_uniform(g, seed=seed))
+        res = (bmo_d_norm_cut(f, alpha=alpha) if shift is None
+               else shifted_packing(f, list(shift), alpha=alpha))
+        d = res.diagnostics
+        key = repr((repr(res.value), repr(d["upper_bound"]), d["cuts"], d["boxes"],
+                    d["rectangles"]))
+        digests[kind, dims, depths, seed, alpha, shift] = hashlib.sha256(
+            key.encode() + res.witness.cells.tobytes()).hexdigest()
+    assert digests == CUT_DIGESTS
 
 
 def test_bmo_d_cut_of_constant_is_zero():
