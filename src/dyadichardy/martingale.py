@@ -12,13 +12,18 @@ the empty set: the grand average).  Those boundary components are stored
 explicitly so the decomposition reconstructs arbitrary data, not just
 mean-zero data.
 
-One level-tensor engine (`_level_tensors`) yields Delta_R f for all R at
-one level tuple as one array, one value per child of R; decomposition,
-reconstruction, energies and the square function all read it.
+One Haar engine (`_haar_table`) yields Delta_R f for every R as one child
+table, per factor an axis over the cubes at levels 1..J_i.  It goes one
+factor at a time, the level tuples of the factors done stacked into one
+row axis, so each (factor, level) is one block mean for all of them.  Rows
+stay in front of every reduced axis, and numpy sums an axis the same way
+whatever the axes in front of it (in sequence, or pairwise if it is the
+contiguous one), so each value keeps the per-tuple summation order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -27,18 +32,20 @@ import numpy as np
 
 from .errors import GridError, ResourceCapError
 from .grid import (DEFAULT_RECTANGLE_CAP, DyadicRectangle, GridFunction, ProductGrid,
-                   _axis_levels, _blocks, _factor_cubes, eligible_rectangle_count)
+                   _axis_levels, _cube_start, _factor_cubes, eligible_rectangle_count)
 
 PRUNE_TOL = 1e-14
 
 
 def _coarsen(values: np.ndarray, axes, size: int) -> np.ndarray:
-    """Block means over each axis in `axes` in turn, shrinking each to `size` cells."""
+    """Block means over each axis in `axes` in turn, shrinking each to `size` cells
+    (the sum and division `.mean` does, without its Python overhead)."""
     for axis in axes:
         shp = values.shape
         if shp[axis] > size:
-            values = values.reshape(shp[:axis] + (size, shp[axis] // size) + shp[axis + 1:])
-            values = values.mean(axis=axis + 1)
+            width = shp[axis] // size
+            values = np.add.reduce(values.reshape(shp[:axis] + (size, width) + shp[axis + 1:]), axis + 1)
+            values /= width
     return values
 
 
@@ -56,30 +63,51 @@ def expectation(f: GridFunction, i: int, level: int) -> GridFunction:
     return GridFunction(grid, vals)
 
 
-def _level_tensors(values: np.ndarray, grid: ProductGrid) -> list:
-    """[(levels, child array)] for every Delta-eligible level tuple, canonical order.
+def _haar_table(values: np.ndarray, grid: ProductGrid) -> np.ndarray:
+    """Delta_R f for every Delta-eligible R as a child table: batch axes of
+    `values`, then per factor its cubes at levels 1..J_i, level-major, where
+    (Q_1, ..., Q_d) holds Delta_R f on that cell, R the Q_i's parents."""
+    lead = values.shape[:values.ndim - grid.n]
+    stage = values.reshape((-1,) + grid.shape)
+    for n, depth in zip(grid.factor_dims, grid.depths):
+        axes, rest = range(1, 1 + n), stage.shape[1 + n:]
+        coarse = _coarsen(stage, axes, 1)
+        out = np.empty((len(stage), _cube_start(n, depth + 1) - 1) + rest, coarse.dtype)
+        for j, cut in enumerate(_factor_levels(n, depth, 1)[0]):
+            fine = _coarsen(stage, axes, 2 ** (j + 1))  # E_{j+1}, taken from the stage itself
+            for axis in axes:
+                coarse = coarse.repeat(2, axis=axis)
+            np.subtract(fine, coarse, out=out[:, cut].reshape(fine.shape))
+            coarse = fine
+        stage = coarse = fine = out.reshape((-1,) + rest)  # the old stage is freed here
+    return stage.reshape(lead + tuple(_cube_start(n, depth + 1) - 1
+                                      for n, depth in zip(grid.factor_dims, grid.depths)))
 
-    Factor by factor: E_k (k = 0..J_i) is the block mean of that factor's
-    input at 2^k cells per axis, each taken directly from the input, and
-    E_{j+1} - E_j at child resolution (2^{j+1} cells per axis) is the next
-    factor's input.  The summation order per value is the one the same
-    block means take on the full grid, so results do not depend on the
-    resolution the other axes are held at.  Leading axes of `values` beyond
-    the grid's are batch axes.
-    """
-    stage = [((), values)]
-    for i in range(grid.d):
-        axes = [values.ndim - grid.n + a for a in grid.factor_axes(i)]
-        nxt = []
-        for levels, vals in stage:
-            means = [_coarsen(vals, axes, 2 ** k) for k in range(grid.depths[i] + 1)]
-            for j in range(grid.depths[i]):
-                coarse = means[j]
-                for axis in axes:
-                    coarse = np.repeat(coarse, 2, axis=axis)
-                nxt.append((levels + (j,), means[j + 1] - coarse))
-        stage = nxt
-    return stage
+
+@functools.lru_cache(maxsize=256)  # keyed by (n, J, top); holds only slices and shapes
+def _factor_levels(n: int, depth: int, top: int) -> tuple:
+    """(slices, sides) per level j of an n-axis factor in a table over its cubes
+    at levels top..J - 1 + top: level j + top's slice and (2^(j + top),) * n."""
+    starts = [_cube_start(n, j) - top for j in range(top, depth + top + 1)]
+    return tuple(map(slice, starts, starts[1:])), tuple((2 ** j,) * n for j in range(top, depth + top))
+
+
+def _table_views(table: np.ndarray, grid: ProductGrid, top: int = 0) -> list:
+    """[(levels, view)] for every Delta-eligible level tuple, canonical order:
+    a cube table's (top 0, as `_table_shape`) or child table's (top 1)
+    entries there, 2^(j_i + top) per grid axis, batch axes in front."""
+    lead = table.ndim - grid.d
+    slices, sides = zip(*(_factor_levels(n, depth, top)
+                          for n, depth in zip(grid.factor_dims, grid.depths)))
+    return [(levels, table[(slice(None),) * lead + cut].reshape(table.shape[:lead] + sum(side, ())))
+            for levels, cut, side in zip(itertools.product(*map(range, grid.depths)),
+                                         itertools.product(*slices), itertools.product(*sides))]
+
+
+def _level_tensors(values: np.ndarray, grid: ProductGrid) -> list:
+    """[(levels, child array)] for every Delta-eligible level tuple, canonical
+    order: views of the child table, batch axes of `values` in front."""
+    return _table_views(_haar_table(values, grid), grid, 1)
 
 
 def level_difference(f: GridFunction, levels) -> np.ndarray:
@@ -96,6 +124,15 @@ def _refine(child: np.ndarray, grid: ProductGrid, levels) -> np.ndarray:
     for axis, (i, j) in enumerate(_axis_levels(grid, levels)):
         child = np.repeat(child, 2 ** (grid.depths[i] - j - 1), axis=axis)
     return child
+
+
+def _add_refined(out: np.ndarray, child: np.ndarray) -> None:
+    """out += child with each value repeated over its finest cells, in place
+    and value for value: the last axis repeated, the others broadcast."""
+    child = child.repeat(out.shape[-1] // child.shape[-1], axis=-1)
+    split = [m for side, full in zip(child.shape[:-1], out.shape) for m in (side, full // side)]
+    view = out.reshape(split + [out.shape[-1]])
+    np.add(view, child[(slice(None), None) * (child.ndim - 1)], out=view)
 
 
 def _child_cell_volume(grid: ProductGrid, levels) -> float:
@@ -213,12 +250,16 @@ class Decomposition:
         return _PureView(self)
 
     def pure_energy(self):
-        """Sum of ||Delta_R f||_2^2, added one block at a time in canonical order."""
-        n = self.grid.n
-        return np.cumsum(np.concatenate([
-            (b * b).sum(axis=tuple(range(n, 2 * n))).ravel() * _child_cell_volume(self.grid, levels)
-            for levels, b in self.coefficients.items()
-        ]))[-1]
+        """Sum of ||Delta_R f||_2^2, added one rectangle at a time in canonical
+        order; the squares are held one first-factor level at a time."""
+        grid = self.grid
+        sums = []
+        for _, group in itertools.groupby(self.coefficients.items(), key=lambda item: item[0][0]):
+            squares = np.concatenate([b for _, b in group], axis=None).reshape(-1, 2 ** grid.n)
+            sums.append(np.multiply(squares, squares, out=squares).sum(axis=1))
+        volumes = np.repeat([_child_cell_volume(grid, lv) for lv in self.coefficients],
+                            [b.size >> grid.n for b in self.coefficients.values()])
+        return np.cumsum(np.concatenate(sums) * volumes)[-1]
 
     def hybrid_energy(self):
         return sum(h.l2_sq() for h in self.hybrid.values())
@@ -256,15 +297,24 @@ def decompose(
             f"decomposition needs {eligible_rectangle_count(grid)} rectangles "
             f"(cap {max_rectangles})"
         )
-    coefficients, kept = {}, {}
-    for levels, child in _level_tensors(f.values, grid):
-        blocks = coefficients[levels] = _blocks(child, [s // 2 for s in child.shape]).copy()
-        if blocks.dtype == object:
-            keep = np.ones(blocks.shape[:grid.n], dtype=bool)
-        else:
-            keep = ~(np.abs(blocks).max(axis=tuple(range(grid.n, 2 * grid.n))) <= prune_tol)
-            blocks[~keep] = 0.0
-        kept[levels] = keep
+    n, order = grid.n, [*range(0, 2 * grid.n, 2), *range(1, 2 * grid.n, 2)]
+    blocks = {lv: child.reshape([m for s in child.shape for m in (s // 2, 2)]).transpose(order)
+              for lv, child in _level_tensors(f.values, grid)}
+    # Every R's 2^n children in one buffer, R by R in canonical order.
+    flat = np.concatenate(list(blocks.values()), axis=None).reshape(-1, 2 ** n)
+    if flat.dtype == object:
+        keep = np.ones(len(flat), dtype=bool)
+    else:
+        # max |value| per R, one child column at a time (long strided loops).
+        keep = ~(functools.reduce(np.maximum, map(np.abs, flat.T)) <= prune_tol)
+        flat[~keep] = 0.0
+    coefficients, kept, start = {}, {}, 0
+    for lv, b in blocks.items():
+        stop = start + (b.size >> n)
+        coefficients[lv] = flat[start:stop].reshape(b.shape)
+        kept[lv] = keep[start:stop].reshape(b.shape[:n])
+        start = stop
+    del blocks, b  # frees the child table before the hybrids are built
     return Decomposition(grid, coefficients, kept, _hybrids(f.values, grid))
 
 
@@ -280,19 +330,19 @@ def reconstruct(dec: Decomposition) -> GridFunction:
     order = [k for a in range(grid.n) for k in (a, grid.n + a)]
     for levels, blocks in dec.coefficients.items():
         if dec.kept[levels].any():
-            child = blocks.transpose(order).reshape([2 * s for s in blocks.shape[:grid.n]])
-            out += _refine(child, grid, levels)
+            _add_refined(out, blocks.transpose(order).reshape([2 * s for s in blocks.shape[:grid.n]]))
     return GridFunction(grid, out)
 
 
 def decomposition_to_dict(dec: Decomposition) -> dict:
     grid = dec.grid
+    cube_keys = {(i, j): [f"{i}:{j}:({','.join(map(str, c))})"
+                          for c in itertools.product(range(2 ** j), repeat=n)]
+                 for i, n in enumerate(grid.factor_dims) for j in range(grid.depths[i])}
     pure = {}
     for levels, blocks in dec.coefficients.items():
         kept = dec.kept[levels]
-        keys = itertools.product(
-            *([q.key() for q in _factor_cubes(grid, i, (j,))] for i, j in enumerate(levels))
-        )
+        keys = itertools.product(*(cube_keys[i, j] for i, j in enumerate(levels)))
         rows = blocks[kept].reshape(-1, 2 ** grid.n).astype(np.float64).tolist()
         pure.update(zip(map("|".join, itertools.compress(keys, kept.ravel().tolist())), rows))
     return {

@@ -11,6 +11,7 @@ ratio of its witness; the search's is a certified lower bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -21,15 +22,17 @@ import numpy as np
 from .errors import GridError, ResourceCapError
 from .grid import (GridFunction, OpenSetMask, ProductGrid, _axis_levels, _blocks, _place,
                    _rectangle_at, _table_shape)
-from .martingale import _LevelView, _level_tensors, _refine
+from .martingale import _add_refined, _factor_levels, _haar_table, _LevelView, _table_views
 from .windows import (BLOCK, AlignedBox, axis_sides, iter_last_factor_means, iter_shapes,
                       iter_window_sums)
 
 DEFAULT_EXACT_CAP = 22
-# The bit-mask oracle holds a few arrays with one entry per mask (int64 masks,
-# float64 sums and ratios, popcount temporaries); refuse above this many bytes.
+# The bit-mask oracle visits every mask once, EXACT_BLOCK masks at a time in
+# buffers it reuses, so its memory stays small; the cap below bounds its work,
+# counted as the bytes an all-at-once table would take (48 per mask).
 EXACT_BYTES_PER_MASK = 48
 EXACT_MEMORY_CAP = 2 ** 30
+EXACT_BLOCK = 1 << 14
 # The cut engine refuses grids with more dyadic boxes than this.  Its graph,
 # flow and recomputed witness ratio grew the peak RSS by 0.9-1.3 KB per box
 # (16k to 131k boxes, Python 3.11, 64-bit), so the cap holds it near 250 MB.
@@ -42,9 +45,11 @@ ALIGNED_VISIT_CAP = 1 << 28
 def square_function(f: GridFunction) -> GridFunction:
     """Sf(x) = (sum over eligible R of |Delta_R f(x)|^2)^{1/2}."""
     grid = f.grid
+    table = _haar_table(f.values, grid)
     acc = np.zeros(grid.shape)
-    for levels, child in _level_tensors(f.values, grid):
-        acc += _refine(child * child, grid, levels)
+    # One add per level tuple: each cell sums its terms in canonical order.
+    for _, child in _table_views(np.multiply(table, table, out=table), grid, 1):
+        _add_refined(acc, child)
     return GridFunction(grid, np.sqrt(acc))
 
 
@@ -56,26 +61,32 @@ def h1_norm(f: GridFunction, include_mean: bool = False) -> float:
     return value
 
 
-def _energy_blocks(values: np.ndarray, grid: ProductGrid) -> list:
-    """[(levels, ||Delta_R f||_2^2 for every R at those levels)], canonical order,
-    for f with these values.
+def _energy_table(values: np.ndarray, grid: ProductGrid) -> np.ndarray:
+    """||Delta_R f||_2^2 for every eligible R as a cube table (`_table_shape`),
+    batch axes of `values` in front: the squared child table summed over each
+    R's finest cells one grid axis at a time, per factor and level."""
+    sq = _haar_table(values, grid)
+    sq = np.multiply(sq, sq, out=sq)
+    lead = sq.ndim - grid.d
+    for i, (n, depth) in enumerate(zip(grid.factor_dims, grid.depths)):
+        at, parts = lead + i, []
+        for j, cut in enumerate(_factor_levels(n, depth, 1)[0]):
+            block, width = sq[(slice(None),) * at + (cut,)], 2 ** (depth - j)  # cells per cube side
+            shape = block.shape
+            block = block.reshape(shape[:at] + (2 ** (j + 1),) * n + shape[at + 1:])
+            for axis in range(at, at + n):  # repeated squares round by their count, as on the grid
+                block = block.repeat(width // 2, axis=axis)
+                shp = block.shape
+                block = block.reshape(shp[:axis] + (2 ** j, width) + shp[axis + 1:]).sum(axis=axis + 1)
+            parts.append(block.reshape(shape[:at] + (2 ** (n * j),) + shape[at + 1:]))
+        sq = np.concatenate(parts, axis=at)
+    return sq * grid.cell_volume
 
-    Each array has one axis per grid axis, 2^j entries along a factor at
-    level j, so its C-order ravel lists the rectangles in canonical order.
-    Leading axes of `values` beyond the grid's are batch axes, kept in front.
-    """
-    out = []
-    for levels, child in _level_tensors(values, grid):
-        sq = child * child
-        # Sum over each rectangle's finest cells, one axis at a time: a sum
-        # of repeated squares rounds by its term count, as on the full grid.
-        for axis, (i, j) in enumerate(_axis_levels(grid, levels), values.ndim - grid.n):
-            width = 2 ** (grid.depths[i] - j)
-            shp = sq.shape
-            sq = np.repeat(sq, width // 2, axis=axis)
-            sq = sq.reshape(shp[:axis] + (2 ** j, width) + shp[axis + 1:]).sum(axis=axis + 1)
-        out.append((levels, sq * grid.cell_volume))
-    return out
+
+def _energy_blocks(values: np.ndarray, grid: ProductGrid) -> list:
+    """[(levels, ||Delta_R f||_2^2 for every R at those levels)], canonical order:
+    views of `_energy_table`, 2^j entries per grid axis at level j."""
+    return _table_views(_energy_table(values, grid), grid)
 
 
 def _measure(grid: ProductGrid, levels) -> float:
@@ -87,20 +98,24 @@ class _EnergyView(_LevelView):
     """||Delta_R f||_2^2 of every eligible R, one array per level tuple;
     values() lists them in canonical order without building rectangles."""
 
-    def __init__(self, grid: ProductGrid, blocks: list):
-        self._energies = dict(blocks)
-        super().__init__(grid, {lv: np.ones(e.shape, dtype=bool) for lv, e in blocks})
+    def __init__(self, grid: ProductGrid, table: np.ndarray):
+        self._grid, self._table = grid, table
+        self._energies = dict(_table_views(table, grid))
+
+    @functools.cached_property
+    def _kept(self) -> dict:
+        return dict(_table_views(np.ones(self._table.shape, dtype=bool), self._grid))
 
     def _value(self, rect, levels, coords):
         return self._energies[levels].item(coords)
 
     def values(self) -> list:
-        return np.concatenate([e.ravel() for e in self._energies.values()]).tolist()
+        return np.concatenate(list(self._energies.values()), axis=None).tolist()
 
 
 def rectangle_energies(f: GridFunction) -> Mapping:
     """||Delta_R f||_2^2 for every eligible R, a read-only view in canonical order."""
-    return _EnergyView(f.grid, _energy_blocks(f.values, f.grid))
+    return _EnergyView(f.grid, _energy_table(f.values, f.grid))
 
 
 def packing_energy(f: GridFunction, mask: OpenSetMask, alpha: float | None = None) -> float:
@@ -266,27 +281,35 @@ def bmo_d_norm_exact(
             "limit; use bmo_d_norm_search"
         )
     _, energies, cells = _rect_data(f, alpha)
-    masks = np.arange(1, 2 ** m_cells, dtype=np.int64)
-    acc = np.zeros(masks.shape)
-    for e, cell_idx in zip(energies, cells):
-        rmask = int((1 << cell_idx).sum())
-        np.add(acc, e, out=acc, where=(masks & rmask) == rmask)
-    sizes = np.zeros(1, dtype=np.int64)  # sizes[k] = popcount(k), doubling one bit at a time
-    for _ in range(m_cells):
-        sizes = np.concatenate([sizes, sizes + 1])
-    sizes = sizes[1:]
-    ratios = acc / (sizes * grid.cell_volume)
-    top = float(ratios.max())
-    cand = np.flatnonzero(ratios == top)
-    cand = cand[sizes[cand] == sizes[cand].min()]
-    pick = int(masks[cand[0]])
+    rmasks = [int((1 << cell_idx).sum()) for cell_idx in cells]
+    step = min(EXACT_BLOCK, 2 ** m_cells)
+    low = np.zeros(1, dtype=np.int64)  # low[k] = popcount(k), doubling one bit at a time
+    while low.size < step:
+        low = np.concatenate([low, low + 1])
+    base, masks, sizes, scratch = np.arange(step), *(np.empty(step, np.int64) for _ in range(3))
+    hit, acc, ratios = np.empty(step, bool), np.empty(step), np.empty(step)
+    best = (-np.inf, 0, 0)  # (ratio, -cells, -mask): the largest wins
+    for lo in range(0, 2 ** m_cells, step):
+        np.add(base, lo, out=masks)
+        np.add(low, bin(lo).count("1"), out=sizes)
+        acc.fill(0.0)
+        for e, rmask in zip(energies, rmasks):  # a mask adds its energies in canonical order
+            np.equal(np.bitwise_and(masks, rmask, out=scratch), rmask, out=hit)
+            np.add(acc, e, out=acc, where=hit)
+        if lo == 0:
+            acc[0] = -np.inf  # the empty mask: -inf / 0 never wins
+        np.divide(acc, np.multiply(sizes, grid.cell_volume, out=ratios), out=ratios)
+        k = np.flatnonzero(ratios == ratios.max())
+        k = k[np.argmin(sizes[k])]
+        best = max(best, (float(ratios[k]), -int(sizes[k]), -int(masks[k])))
+    top, pick = best[0], -best[2]
     indices = [b for b in range(m_cells) if pick >> b & 1]
     witness = OpenSetMask.from_cell_indices(grid, indices)
     return PackingResult(
         value=top,
         witness=witness,
         mode="exact",
-        diagnostics={"masks_enumerated": int(masks.size), "rectangles": int(energies.size)},
+        diagnostics={"masks_enumerated": 2 ** m_cells - 1, "rectangles": int(energies.size)},
     )
 
 

@@ -17,11 +17,12 @@ import numpy as np
 from .errors import GridError
 from . import generators
 from .grid import (GridFunction, OpenSetMask, ProductGrid, RectangleFamily, _blocks,
-                   _family_logs, _place, slice_family)
+                   _family_logs, slice_family)
 from .maximal import TauParams, tau_build
 from .norms import (
     _aligned_oscillations,
     _energy_blocks,
+    _energy_table,
     _oscillations,
     bmo_d_norm_cut,
     h1_norm,
@@ -70,12 +71,9 @@ def _lemma_b_constant(grid: ProductGrid, bmo: float, alpha: float) -> float:
 def _family_energies(values: np.ndarray, grid: ProductGrid, mask: np.ndarray) -> np.ndarray:
     """Sum of ||Delta_R f||_2^2 over the R that a family table marks, left to
     right in family order; leading axes of `values` and `mask` are batch axes."""
-    table = np.empty(mask.shape)
-    for levels, energy in _energy_blocks(values, grid):
-        _place(table, grid, levels, energy)
     # Energies are >= 0, so adding 0.0 for an unmarked R changes no partial sum.
-    flat = np.where(mask, table, 0.0).reshape(mask.shape[:mask.ndim - grid.d] + (-1,))
-    return np.cumsum(flat, axis=-1)[..., -1]
+    flat = np.where(mask, _energy_table(values, grid), 0.0)
+    return np.cumsum(flat.reshape(mask.shape[:mask.ndim - grid.d] + (-1,)), axis=-1)[..., -1]
 
 
 def check_lemma_a(f: GridFunction, family: RectangleFamily, i: int) -> InequalityReport:

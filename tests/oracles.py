@@ -4,8 +4,9 @@ oracles (every box is sliced out of the value array and reduced with
 are compared on, the A1-weight series loop that recomputes every
 maximal iterate, the interval kernel that ran the suffix max over
 every start/end pair, the window walk that took every factor before the
-last one side at a time, and the rectangle-family operations that built
-one `DyadicRectangle` at a time and called `delta_R` per member."""
+last one side at a time, the rectangle-family operations that built
+one `DyadicRectangle` at a time and called `delta_R` per member, and the
+bit-mask packing oracle that held every mask's ratio at once."""
 
 import itertools
 import math
@@ -17,6 +18,7 @@ from dyadichardy import (DyadicCube, DyadicRectangle, GridFunction, OpenSetMask,
 from dyadichardy.errors import ContractionError, GridError
 from dyadichardy.grid import _factor_cubes
 from dyadichardy.maximal import strong_maximal
+from dyadichardy.norms import _rect_data
 from dyadichardy.verify import PASS_TOL, InequalityReport, SplitResult
 from dyadichardy.windows import (BLOCK, AlignedBox, _prefix, axis_sides, cover_max,
                                  iter_last_factor_means, iter_shapes, last_factor_max, window_sums)
@@ -387,3 +389,17 @@ def random_subfamily_oracle(grid, rng, keep=0.3, alpha=None, strict=False):
         if rng.random() < keep:
             members.append(rect)
     return RectangleFamily(grid, members)
+
+
+def exact_mask_ratios(f, alpha=None):
+    """(masks, sizes, ratios) over every nonempty cell mask at once: each
+    rectangle's energy added, in canonical order, to the masks holding it."""
+    grid = f.grid
+    _, energies, cells = _rect_data(f, alpha)
+    masks = np.arange(1, 2 ** grid.cell_count, dtype=np.int64)
+    acc = np.zeros(masks.shape)
+    for e, cell_idx in zip(energies, cells):
+        rmask = int((1 << cell_idx).sum())
+        np.add(acc, e, out=acc, where=(masks & rmask) == rmask)
+    sizes = np.array([bin(m).count("1") for m in masks.tolist()])
+    return masks, sizes, acc / (sizes * grid.cell_volume)

@@ -23,7 +23,8 @@ from dyadichardy import (
     reconstruct,
 )
 from dyadichardy import generators
-from dyadichardy.martingale import HaarCoefficient, level_difference
+from dyadichardy.martingale import HaarCoefficient, _level_tensors, level_difference
+from dyadichardy.norms import _energy_blocks
 
 
 SMALL_GRIDS = [
@@ -366,3 +367,36 @@ def test_pure_view_is_read_only_and_canonical():
     assert finest not in dec.pure
     with pytest.raises(TypeError):
         dec.pure[rects[0]] = None
+
+
+# The acceptance suite's Parseval grid pool.
+STACK_POOL = [((1,), (5,)), ((1,), (12,)), ((2,), (4,)), ((1, 1), (5, 5)), ((1, 2), (3, 2)),
+              ((2, 1), (3, 3)), ((1, 1, 1), (3, 3, 3)), ((1, 1, 1), (2, 2, 2)), ((1, 1), (2, 2)),
+              ((1, 1, 1), (4, 4, 4))]
+# sha256, over the pool, of each level tuple with the bit patterns of its
+# stacked Delta_R f values sorted (a record that does not depend on how the
+# engine lays its blocks out) and of the stacked energies' bytes.
+STACKED_DIGEST = "908752bc6b0a29fefc4c0854e2efc15e8946fd0dcbb607ebd72f12bd28aa9c1e"
+
+
+def test_stacked_inputs_match_per_element_calls_bit_for_bit():
+    # The engine and the energies take leading batch axes; a value's bits
+    # must not depend on how many other functions ride along.
+    sha = hashlib.sha256()
+    for k, key in enumerate(STACK_POOL):
+        grid = ProductGrid(*key)
+        fs = [generators.random_uniform(grid, seed=3 * k + e).values for e in range(3)]
+        stacked = np.stack(fs)
+        for engine in (_level_tensors, _energy_blocks):
+            together = engine(stacked, grid)
+            for e, f in enumerate(fs):
+                alone = engine(f, grid)
+                assert [lv for lv, _ in together] == [lv for lv, _ in alone]
+                for (lv, a), (_, b) in zip(together, alone):
+                    assert a[e].tobytes() == b.tobytes(), (key, engine.__name__, lv, e)
+        for lv, a in _level_tensors(stacked, grid):
+            sha.update(repr(lv).encode() + np.sort(a.ravel().view(np.uint64)).tobytes())
+        for (lv, a), (_, empty) in zip(_energy_blocks(stacked, grid), _energy_blocks(stacked[:0], grid)):
+            sha.update(repr(lv).encode() + a.tobytes())
+            assert empty.shape == (0,) + a.shape[1:]
+    assert sha.hexdigest() == STACKED_DIGEST

@@ -29,7 +29,7 @@ from dyadichardy import (
 from dyadichardy import generators
 from dyadichardy.norms import _oscillations
 from dyadichardy.windows import AlignedBox
-from oracles import little_bmo_oracle, oracle_data, tied_inputs
+from oracles import exact_mask_ratios, little_bmo_oracle, oracle_data, tied_inputs
 
 
 def random_function(grid, seed):
@@ -670,3 +670,42 @@ def test_bmo_d_exact_refuses_oversized_mask_table():
     f = generators.random_uniform(ProductGrid((1,), (5,)), seed=0)
     with pytest.raises(ResourceCapError, match="masks"):
         bmo_d_norm_exact(f, cap_cells=64)
+
+
+def _tied_exact_inputs():
+    """16-cell inputs with values in {-1, 0, 1} whose best ratio is attained by
+    masks on both sides of cells 14 and 15, with alpha."""
+    grid = ProductGrid((1,), (4,))
+    # A 4-cell box in cells 0-3 and a 2-cell box in cells 14-15 tie at ratio 1:
+    # fewest cells picks the later one.
+    yield grid, GridFunction(grid, [1, 1, -1, -1] + [0] * 10 + [1, -1]), None
+    for dims, depths, seed, alpha in [((1,), (4,), 2, None), ((2,), (2,), 16, None),
+                                      ((1, 1), (1, 3), 6, 0.25), ((1, 1), (3, 1), 7, None),
+                                      ((1, 1), (2, 2), 26, 0.25)]:
+        grid = ProductGrid(dims, depths)
+        rng = np.random.default_rng(seed)
+        yield grid, GridFunction(grid, rng.integers(-1, 2, grid.shape).astype(float)), alpha
+
+
+# sha256 of repr([(witness cell indices, repr(value))]) over _tied_exact_inputs(),
+# recorded from the oracle that held all 2^16 masks at once.
+EXACT_TIES_DIGEST = "b2589f0fcfa7c19ada4ab22e48ea32b35694a9fb5ba894c88b3898ed9ce5e6bd"
+
+
+def test_bmo_d_exact_ties_across_mask_blocks():
+    # The oracle enumerates masks in blocks of 2^14, so masks that differ in
+    # cells 14 or 15 fall in different blocks; ties must still go to the
+    # fewest cells, then the smallest mask.
+    got = []
+    for grid, f, alpha in _tied_exact_inputs():
+        masks, sizes, ratios = exact_mask_ratios(f, alpha)
+        top = ratios.max()
+        best = ratios == top
+        assert len(set((masks[best] >> 14).tolist())) > 1
+        pick = masks[best & (sizes == sizes[best].min())][0]
+        res = bmo_d_norm_exact(f, alpha=alpha)
+        cells = res.witness.cell_indices().tolist()
+        assert res.value == top and sum(1 << c for c in cells) == pick
+        assert res.diagnostics["masks_enumerated"] == 2 ** 16 - 1
+        got.append((cells, repr(res.value)))
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == EXACT_TIES_DIGEST
