@@ -18,7 +18,6 @@ from .grid import (
     enumerate_rectangles,
     rectangles_in,
     slice_family,
-    slice_mask,
 )
 from .martingale import (
     Decomposition,
@@ -27,7 +26,6 @@ from .martingale import (
     decomposition_from_dict,
     decomposition_to_dict,
     delta_R,
-    expectation,
     reconstruct,
 )
 from .norms import (
@@ -50,7 +48,6 @@ from .maximal import (
     check_a1,
     iterate_maximal,
     strong_maximal,
-    strong_maximal_naive,
     tau_build,
 )
 from .verify import (
@@ -72,15 +69,15 @@ __all__ = [
     "ContractionError", "GridError", "ResourceCapError",
     "DyadicCube", "DyadicRectangle", "GridFunction", "OpenSetMask",
     "ProductGrid", "RectangleFamily", "eligible_rectangle_count",
-    "enumerate_rectangles", "rectangles_in", "slice_family", "slice_mask",
+    "enumerate_rectangles", "rectangles_in", "slice_family",
     "Decomposition", "HaarCoefficient", "decompose",
     "decomposition_from_dict", "decomposition_to_dict", "delta_R",
-    "expectation", "reconstruct",
+    "reconstruct",
     "OscResult", "PackingResult", "bmo_d_norm_cut", "bmo_d_norm_exact",
     "bmo_d_norm_search", "h1_norm", "little_bmo_norm",
     "packing_energy", "rectangle_energies", "shifted_packing", "square_function",
     "TauParams", "TauReport", "a1_weight", "check_a1", "iterate_maximal",
-    "strong_maximal", "strong_maximal_naive", "tau_build",
+    "strong_maximal", "tau_build",
     "InequalityReport", "SplitResult", "TheoremRunConfig", "check_abs_bmo",
     "check_lemma_a", "check_lemma_b", "check_lemma_b_base", "split_family",
     "theorem_demo",

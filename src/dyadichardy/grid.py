@@ -12,6 +12,7 @@ factors, coordinate-major within a factor).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -41,6 +42,11 @@ class ProductGrid:
             raise GridError("every factor dimension must be >= 1")
         if any(j < 1 for j in self.depths):
             raise GridError("every depth must be >= 1")
+        # Axis sizes of the value array: n_i axes of size 2^{J_i} per factor.
+        # Set once; equality, hash and repr read only the two fields.
+        shape = sum(((2 ** j,) * n for n, j in zip(self.factor_dims, self.depths)), ())
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "cell_count", math.prod(shape))
 
     @property
     def d(self) -> int:
@@ -48,26 +54,11 @@ class ProductGrid:
 
     @property
     def n(self) -> int:
-        return sum(self.factor_dims)
-
-    @property
-    def shape(self) -> tuple:
-        """Axis sizes of the value array: n_i axes of size 2^{J_i} per factor."""
-        out = []
-        for n_i, j_i in zip(self.factor_dims, self.depths):
-            out.extend([2 ** j_i] * n_i)
-        return tuple(out)
-
-    @property
-    def cell_count(self) -> int:
-        c = 1
-        for s in self.shape:
-            c *= s
-        return c
+        return len(self.shape)
 
     @property
     def cell_volume(self) -> float:
-        return 2.0 ** (-sum(n * j for n, j in zip(self.factor_dims, self.depths)))
+        return _measure(self, self.depths)
 
     def factor_axes(self, i: int) -> range:
         """Axis indices (into .shape) belonging to factor i."""
@@ -353,9 +344,8 @@ def _axis_levels(grid: ProductGrid, levels) -> list:
 def _blocks(a: np.ndarray, sides) -> np.ndarray:
     """View `a` as (sides..., block entries...): axis k splits into sides[k]
     contiguous blocks, and the block axes come last, in axis order."""
-    n = a.ndim
     split = a.reshape([m for s, b in zip(a.shape, sides) for m in (b, s // b)])
-    return split.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return split.transpose(*range(0, split.ndim, 2), *range(1, split.ndim, 2))
 
 
 # Cube tables.  A factor's dyadic cubes are indexed level-major, then by
@@ -396,13 +386,45 @@ def _rectangle_at(grid: ProductGrid, index) -> DyadicRectangle:
     return DyadicRectangle(tuple(cubes))
 
 
-def _place(table: np.ndarray, grid: ProductGrid, levels, block: np.ndarray) -> None:
-    """Write a level tuple's (2^j per axis...) array into a cube table; leading
-    axes beyond the grid's are batch axes, in front in both."""
-    starts = [_cube_start(n, j) for n, j in zip(grid.factor_dims, levels)]
-    counts = tuple(2 ** (n * j) for n, j in zip(grid.factor_dims, levels))
-    index = (..., *(slice(a, a + c) for a, c in zip(starts, counts)))
-    table[index] = block.reshape(block.shape[:block.ndim - grid.n] + counts)
+@functools.lru_cache(maxsize=256)  # keyed by (n, J, top); holds only slices and shapes
+def _factor_levels(n: int, depth: int, top: int) -> tuple:
+    """(slices, sides) per level j of an n-axis factor in a table over its cubes
+    at levels top..J - 1 + top: level j + top's slice and (2^(j + top),) * n."""
+    starts = [_cube_start(n, j) - top for j in range(top, depth + top + 1)]
+    return tuple(map(slice, starts, starts[1:])), tuple((2 ** j,) * n for j in range(top, depth + top))
+
+
+def _table_views(table: np.ndarray, grid: ProductGrid, top: int = 0, finest: bool = False) -> list:
+    """[(levels, view)] for every level tuple of a table, canonical order: the
+    entries of a cube table (top 0, levels 0..J_i - 1 as `_table_shape`, or
+    0..J_i with `finest`, as `_table_shape(grid, 1)`) or a child table's (top 1)
+    at those levels, 2^(j_i + top) per grid axis, batch axes in front.  The
+    views are writable when the table is."""
+    lead, depths = table.ndim - grid.d, [depth + finest for depth in grid.depths]
+    slices, sides = zip(*map(_factor_levels, grid.factor_dims, depths, [top] * grid.d))
+    return [(levels, table[(slice(None),) * lead + cut].reshape(table.shape[:lead] + sum(side, ())))
+            for levels, cut, side in zip(itertools.product(*map(range, depths)),
+                                         itertools.product(*slices), itertools.product(*sides))]
+
+
+def _inside(cells: np.ndarray, grid: ProductGrid, levels) -> np.ndarray:
+    """Which rectangles at one level tuple lie in a cell mask, shaped
+    (2^j per axis...): R lies in the mask when every one of its cells does."""
+    blocks = _blocks(cells, [2 ** j for _, j in _axis_levels(grid, levels)])
+    return blocks.all(axis=tuple(range(cells.ndim, 2 * cells.ndim)))
+
+
+def _measure(grid: ProductGrid, levels, top: int = 0) -> float:
+    """|R| of a rectangle at one level tuple (a cell's volume at levels J_i);
+    with top 1, the volume of one of its children."""
+    return 2.0 ** -sum(n * (j + top) for n, j in zip(grid.factor_dims, levels))
+
+
+def _check_cap(alpha) -> None:
+    """Refuse a size cap alpha that is not positive, NaN included; None and
+    inf mean no cap."""
+    if alpha is not None and not alpha > 0:
+        raise GridError("size cap must be positive")
 
 
 def _family_logs(grid: ProductGrid) -> list:
@@ -496,11 +518,6 @@ def slice_family(family: RectangleFamily, i: int, pos: tuple) -> RectangleFamily
     return RectangleFamily._from_mask(grid.reduce(i), sliced)
 
 
-def slice_mask(mask: OpenSetMask, i: int, pos: tuple) -> OpenSetMask:
-    """The factor-i slice of a mask at a finest cell position of factor i."""
-    return OpenSetMask(mask.grid.reduce(i), mask.cells[_slice_index(mask.grid, i, pos)])
-
-
 def rectangles_in(
     family: RectangleFamily,
     mask: OpenSetMask,
@@ -512,18 +529,13 @@ def rectangles_in(
     `strict=True` switches the size cap to |R| < alpha (used by the
     pigeonhole split, which quantifies strictly).
     """
-    if alpha is not None and alpha <= 0:
-        raise GridError("size cap must be positive")
+    _check_cap(alpha)
     if mask.grid != family.grid:
         raise GridError("mask grid does not match family grid")
-    grid, cells = family.grid, mask.cells
+    grid = family.grid
     inside = np.empty_like(family._mask)
-    for levels in itertools.product(*map(range, grid.depths)):
-        # R lies in the mask when every one of its cells does.
-        sides = [2 ** j for _, j in _axis_levels(grid, levels)]
-        _place(inside, grid, levels,
-               _blocks(cells, sides).all(axis=tuple(range(cells.ndim, 2 * cells.ndim))))
-    if alpha is not None:
-        measure = np.ldexp(1.0, -sum(_family_logs(grid)))
-        inside &= (measure < alpha) if strict else (measure <= alpha)
+    for levels, view in _table_views(inside, grid):
+        size = _measure(grid, levels)
+        view[...] = (alpha is None or (size < alpha if strict else size <= alpha)) and _inside(
+            mask.cells, grid, levels)
     return RectangleFamily._from_mask(grid, family._mask & inside)

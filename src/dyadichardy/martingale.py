@@ -1,4 +1,4 @@
-"""Expectation and difference operators, the tensor decomposition, Plancherel.
+"""Difference operators, the tensor decomposition, Plancherel.
 
 Level indexing runs from j=0 (coarsest: the whole factor) to j=J_i
 (finest cells).  The difference operator for a cube Q at level j is
@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import GridError, ResourceCapError
 from .grid import (DEFAULT_RECTANGLE_CAP, DyadicRectangle, GridFunction, ProductGrid,
-                   _axis_levels, _cube_start, _factor_cubes, eligible_rectangle_count)
+                   _axis_levels, _blocks, _cube_start, _factor_cubes, _factor_levels, _measure,
+                   _table_index, _table_views, eligible_rectangle_count)
 
 PRUNE_TOL = 1e-14
 
@@ -47,20 +48,6 @@ def _coarsen(values: np.ndarray, axes, size: int) -> np.ndarray:
             values = np.add.reduce(values.reshape(shp[:axis] + (size, width) + shp[axis + 1:]), axis + 1)
             values /= width
     return values
-
-
-def expectation(f: GridFunction, i: int, level: int) -> GridFunction:
-    """Average f over level-`level` cubes of factor i; other factors untouched."""
-    grid = f.grid
-    if not 0 <= i < grid.d:
-        raise GridError(f"factor index {i} out of range")
-    if not 0 <= level <= grid.depths[i]:
-        raise GridError(f"level {level} out of range 0..{grid.depths[i]}")
-    width = 2 ** (grid.depths[i] - level)
-    vals = f.values
-    for axis in grid.factor_axes(i):
-        vals = np.repeat(_coarsen(vals, [axis], 2 ** level), width, axis=axis)
-    return GridFunction(grid, vals)
 
 
 def _haar_table(values: np.ndarray, grid: ProductGrid) -> np.ndarray:
@@ -84,39 +71,13 @@ def _haar_table(values: np.ndarray, grid: ProductGrid) -> np.ndarray:
                                       for n, depth in zip(grid.factor_dims, grid.depths)))
 
 
-@functools.lru_cache(maxsize=256)  # keyed by (n, J, top); holds only slices and shapes
-def _factor_levels(n: int, depth: int, top: int) -> tuple:
-    """(slices, sides) per level j of an n-axis factor in a table over its cubes
-    at levels top..J - 1 + top: level j + top's slice and (2^(j + top),) * n."""
-    starts = [_cube_start(n, j) - top for j in range(top, depth + top + 1)]
-    return tuple(map(slice, starts, starts[1:])), tuple((2 ** j,) * n for j in range(top, depth + top))
-
-
-def _table_views(table: np.ndarray, grid: ProductGrid, top: int = 0) -> list:
-    """[(levels, view)] for every Delta-eligible level tuple, canonical order:
-    a cube table's (top 0, as `_table_shape`) or child table's (top 1)
-    entries there, 2^(j_i + top) per grid axis, batch axes in front."""
-    lead = table.ndim - grid.d
-    slices, sides = zip(*(_factor_levels(n, depth, top)
-                          for n, depth in zip(grid.factor_dims, grid.depths)))
-    return [(levels, table[(slice(None),) * lead + cut].reshape(table.shape[:lead] + sum(side, ())))
-            for levels, cut, side in zip(itertools.product(*map(range, grid.depths)),
-                                         itertools.product(*slices), itertools.product(*sides))]
-
-
-def _level_tensors(values: np.ndarray, grid: ProductGrid) -> list:
-    """[(levels, child array)] for every Delta-eligible level tuple, canonical
-    order: views of the child table, batch axes of `values` in front."""
-    return _table_views(_haar_table(values, grid), grid, 1)
-
-
 def level_difference(f: GridFunction, levels) -> np.ndarray:
     """Delta_R f for every R at one level tuple, on the full grid (from the engine)."""
     grid = f.grid
     levels = tuple(levels)
     if len(levels) != grid.d or any(not 0 <= j < J for j, J in zip(levels, grid.depths)):
         raise GridError(f"levels {levels} are not Delta-eligible")
-    return _refine(dict(_level_tensors(f.values, grid))[levels], grid, levels)
+    return _refine(dict(_table_views(_haar_table(f.values, grid), grid, 1))[levels], grid, levels)
 
 
 def _refine(child: np.ndarray, grid: ProductGrid, levels) -> np.ndarray:
@@ -135,10 +96,6 @@ def _add_refined(out: np.ndarray, child: np.ndarray) -> None:
     np.add(view, child[(slice(None), None) * (child.ndim - 1)], out=view)
 
 
-def _child_cell_volume(grid: ProductGrid, levels) -> float:
-    return 2.0 ** (-sum(n * (j + 1) for n, j in zip(grid.factor_dims, levels)))
-
-
 @dataclass(frozen=True, eq=False)
 class HaarCoefficient:
     """Delta_R f, stored as one value per product of immediate children of R."""
@@ -147,7 +104,7 @@ class HaarCoefficient:
     block: np.ndarray = field(compare=False)
 
     def child_cell_volume(self, grid: ProductGrid) -> float:
-        return _child_cell_volume(grid, self.rectangle.levels)
+        return _measure(grid, self.rectangle.levels, 1)
 
     def l2_sq(self, grid: ProductGrid):
         return (self.block * self.block).sum() * self.child_cell_volume(grid)
@@ -181,11 +138,10 @@ def delta_R(f: GridFunction, rect: DyadicRectangle) -> HaarCoefficient:
 
 def _locate(grid: ProductGrid, rect) -> tuple | None:
     """(levels, block coordinates) of a Delta-eligible rectangle of `grid`, else None."""
-    if not isinstance(rect, DyadicRectangle) or len(rect.cubes) != grid.d:
+    try:
+        _table_index(grid, rect)
+    except (GridError, ValueError):
         return None
-    for q, n, depth in zip(rect.cubes, grid.factor_dims, grid.depths):
-        if len(q.coords) != n or q.level >= depth:
-            return None
     return rect.levels, tuple(c for q in rect.cubes for c in q.coords)
 
 
@@ -257,7 +213,7 @@ class Decomposition:
         for _, group in itertools.groupby(self.coefficients.items(), key=lambda item: item[0][0]):
             squares = np.concatenate([b for _, b in group], axis=None).reshape(-1, 2 ** grid.n)
             sums.append(np.multiply(squares, squares, out=squares).sum(axis=1))
-        volumes = np.repeat([_child_cell_volume(grid, lv) for lv in self.coefficients],
+        volumes = np.repeat([_measure(grid, lv, 1) for lv in self.coefficients],
                             [b.size >> grid.n for b in self.coefficients.values()])
         return np.cumsum(np.concatenate(sums) * volumes)[-1]
 
@@ -297,9 +253,9 @@ def decompose(
             f"decomposition needs {eligible_rectangle_count(grid)} rectangles "
             f"(cap {max_rectangles})"
         )
-    n, order = grid.n, [*range(0, 2 * grid.n, 2), *range(1, 2 * grid.n, 2)]
-    blocks = {lv: child.reshape([m for s in child.shape for m in (s // 2, 2)]).transpose(order)
-              for lv, child in _level_tensors(f.values, grid)}
+    n = grid.n
+    blocks = {lv: _blocks(child, [s // 2 for s in child.shape])
+              for lv, child in _table_views(_haar_table(f.values, grid), grid, 1)}
     # Every R's 2^n children in one buffer, R by R in canonical order.
     flat = np.concatenate(list(blocks.values()), axis=None).reshape(-1, 2 ** n)
     if flat.dtype == object:
@@ -327,6 +283,7 @@ def reconstruct(dec: Decomposition) -> GridFunction:
         if h.grid != grid:
             raise GridError("hybrid component grid mismatch")
         out += h.values
+    # The inverse of `_blocks`: a view, not a copy, on a one-axis grid.
     order = [k for a in range(grid.n) for k in (a, grid.n + a)]
     for levels, blocks in dec.coefficients.items():
         if dec.kept[levels].any():

@@ -8,8 +8,7 @@ a cube factor, and for each run of sides of a one-axis factor (all of them
 on small grids), it takes exact window sums, takes the last factor's best
 mean over all intervals containing a cell, and folds the earlier factors
 back to cells, later factors first (`windows`).  Work is O(cells x windows
-per cell) with bounded temporaries.  A literal all-rectangles loop is
-kept as the test oracle.
+per cell) with bounded temporaries.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import ContractionError, GridError
 from .grid import GridFunction, OpenSetMask
-from .windows import axis_sides, cover_max, iter_shapes, iter_window_sums, last_factor_max, run_cover_max
+from .windows import cover_max, iter_window_sums, last_factor_max, run_cover_max
 
 
 def strong_maximal(f: GridFunction) -> GridFunction:
@@ -39,21 +38,6 @@ def strong_maximal(f: GridFunction) -> GridFunction:
                 avg = (run_cover_max(avg, int(shape[i][0]), axis) if isinstance(shape[i], np.ndarray)
                        else cover_max(avg, shape[i], axis))
         np.maximum(out, avg, out=out)
-    return GridFunction(grid, out)
-
-
-def strong_maximal_naive(f: GridFunction) -> GridFunction:
-    """Oracle: explicit loop over every aligned rectangle and its cells."""
-    grid = f.grid
-    a = np.abs(f.values.astype(np.float64))
-    out = np.full(grid.shape, -np.inf)
-    for shape in iter_shapes(grid):
-        sides = axis_sides(grid, shape)
-        ranges = [range(L - s + 1) for L, s in zip(grid.shape, sides)]
-        for starts in itertools.product(*ranges):
-            sl = tuple(slice(p, p + s) for p, s in zip(starts, sides))
-            avg = a[sl].mean()
-            np.maximum(out[sl], avg, out=out[sl])
     return GridFunction(grid, out)
 
 
@@ -95,12 +79,12 @@ class TauParams:
     q: float = 0.9
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise GridError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise GridError("delta must be finite and positive")
         if self.c is not None and not 0 < self.c < 1:
             raise GridError("series ratio c must lie in (0,1)")
-        if self.tol <= 0 or self.kmax < 1:
-            raise GridError("tol must be positive and kmax >= 1")
+        if not 0 < self.tol < math.inf or self.kmax < 1:
+            raise GridError("tol must be finite and positive and kmax >= 1")
         if not 0 < self.q < 1:
             raise GridError("contraction target q must lie in (0,1)")
 

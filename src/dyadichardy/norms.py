@@ -12,7 +12,6 @@ ratio of its witness; the search's is a certified lower bound.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -20,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, ResourceCapError
-from .grid import (GridFunction, OpenSetMask, ProductGrid, _axis_levels, _blocks, _place,
-                   _rectangle_at, _table_shape)
-from .martingale import _add_refined, _factor_levels, _haar_table, _LevelView, _table_views
+from .grid import (GridFunction, OpenSetMask, ProductGrid, _blocks, _check_cap, _factor_levels,
+                   _inside, _measure, _rectangle_at, _table_shape, _table_views)
+from .martingale import _add_refined, _haar_table, _LevelView
 from .windows import (BLOCK, AlignedBox, axis_sides, iter_last_factor_means, iter_shapes,
                       iter_window_sums)
 
@@ -83,15 +82,13 @@ def _energy_table(values: np.ndarray, grid: ProductGrid) -> np.ndarray:
     return sq * grid.cell_volume
 
 
-def _energy_blocks(values: np.ndarray, grid: ProductGrid) -> list:
+def _energy_blocks(values: np.ndarray, grid: ProductGrid, alpha: float | None = None) -> list:
     """[(levels, ||Delta_R f||_2^2 for every R at those levels)], canonical order:
-    views of `_energy_table`, 2^j entries per grid axis at level j."""
-    return _table_views(_energy_table(values, grid), grid)
-
-
-def _measure(grid: ProductGrid, levels) -> float:
-    """|R| of a rectangle at one level tuple."""
-    return 2.0 ** -sum(n * j for n, j in zip(grid.factor_dims, levels))
+    views of `_energy_table`, 2^j entries per grid axis at level j; with a
+    size cap alpha, only the level tuples with |R| <= alpha."""
+    _check_cap(alpha)
+    return [(levels, energy) for levels, energy in _table_views(_energy_table(values, grid), grid)
+            if alpha is None or _measure(grid, levels) <= alpha]
 
 
 class _EnergyView(_LevelView):
@@ -123,21 +120,14 @@ def packing_energy(f: GridFunction, mask: OpenSetMask, alpha: float | None = Non
     added left to right in canonical order."""
     if mask.grid != f.grid:
         raise GridError("mask grid does not match function grid")
-    if alpha is not None and alpha <= 0:
-        raise GridError("size cap must be positive")
-    return _packed_energy([(lv, e) for lv, e in _energy_blocks(f.values, f.grid)
-                           if alpha is None or _measure(f.grid, lv) <= alpha], mask.cells)
+    return _packed_energy(_energy_blocks(f.values, f.grid, alpha), mask)
 
 
-def _packed_energy(blocks: list, cells: np.ndarray) -> float:
+def _packed_energy(blocks: list, mask: OpenSetMask) -> float:
     """Sum of the (levels, energy) blocks' entries whose rectangle lies inside
-    the cell mask, added left to right in canonical order."""
-    picked = [np.zeros(1)]
-    for _, energy in blocks:
-        # R lies in the mask when every one of its cells does.
-        inside = _blocks(cells, energy.shape).all(axis=tuple(range(cells.ndim, 2 * cells.ndim)))
-        picked.append(energy[inside])
-    return float(np.cumsum(np.concatenate(picked))[-1])
+    the mask, added left to right in canonical order."""
+    picked = [energy[_inside(mask.cells, mask.grid, levels)] for levels, energy in blocks]
+    return float(np.cumsum(np.concatenate([np.zeros(1)] + picked))[-1])
 
 
 @dataclass
@@ -203,9 +193,8 @@ def little_bmo_norm(f: GridFunction, p: int = 2, rect_class: str = "aligned") ->
     if rect_class == "dyadic":
         # A cube table with the finest cubes, so the first argmax is in product order.
         table = np.empty(_table_shape(grid, 1))
-        for levels in itertools.product(*(range(depth + 1) for depth in grid.depths)):
-            _place(table, grid, levels, _oscillations(
-                _blocks(vals, [2 ** j for _, j in _axis_levels(grid, levels)]), grid.n, p))
+        for _, view in _table_views(table, grid, finest=True):
+            view[...] = _oscillations(_blocks(vals, view.shape), grid.n, p)
         pos = np.unravel_index(int(np.argmax(table)), table.shape)
         best = float(table[pos])
         witness = _rectangle_at(grid, pos)
@@ -250,12 +239,10 @@ def _rect_data(f: GridFunction, alpha: float | None = None):
     grid = f.grid
     flat = np.arange(grid.cell_count).reshape(grid.shape)
     measures, energies, cells = [np.zeros(0)], [np.zeros(0)], []
-    for levels, energy in _energy_blocks(f.values, grid):
-        measure = _measure(grid, levels)
-        if alpha is None or measure <= alpha:
-            measures.append(np.full(energy.size, measure))
-            energies.append(energy.ravel())
-            cells.extend(_blocks(flat, energy.shape).reshape(energy.size, -1))
+    for levels, energy in _energy_blocks(f.values, grid, alpha):
+        measures.append(np.full(energy.size, _measure(grid, levels)))
+        energies.append(energy.ravel())
+        cells.extend(_blocks(flat, energy.shape).reshape(energy.size, -1))
     return np.concatenate(measures), np.concatenate(energies), cells
 
 
@@ -418,35 +405,19 @@ def bmo_d_norm_search(
     )
 
 
-def _box_count(grid: ProductGrid) -> int:
-    """Dyadic boxes at every per-factor level 0..J_i, finest cells included."""
-    return math.prod(sum(2 ** (n * j) for j in range(depth + 1))
-                     for n, depth in zip(grid.factor_dims, grid.depths))
-
-
-def _split_children(a: np.ndarray, grid: ProductGrid, i: int) -> np.ndarray:
-    """View a box array one level finer in factor i as (boxes..., children):
-    each factor-i axis splits into (coarse coordinate, child bit), bits last."""
-    first, n = grid.factor_axes(i).start, grid.factor_dims[i]
-    shape = a.shape[:first] + sum(((s // 2, 2) for s in a.shape[first:first + n]), ())
-    a = a.reshape(shape + a.shape[first + n:])
-    return np.moveaxis(a, [first + 2 * k + 1 for k in range(n)], range(-n, 0))
-
-
 def _box_graph(grid: ProductGrid):
-    """Box ids per level tuple, and the edges box -> child along the first
+    """Box ids per level tuple (views of one id per entry of the cube table
+    with the finest cubes), and the edges box -> child along the first
     non-finest factor of the box."""
-    ids, start = {}, 0
-    for levels in itertools.product(*(range(depth + 1) for depth in grid.depths)):
-        shape = tuple(2 ** j for n, j in zip(grid.factor_dims, levels) for _ in range(n))
-        ids[levels] = np.arange(start, start + math.prod(shape)).reshape(shape)
-        start += ids[levels].size
+    shape = _table_shape(grid, 1)
+    ids = dict(_table_views(np.arange(math.prod(shape)).reshape(shape), grid, finest=True))
     parents, children = [], []
     for levels, box in ids.items():
         coarse = [i for i, (j, depth) in enumerate(zip(levels, grid.depths)) if j < depth]
         if coarse:
             i = coarse[0]
-            kids = _split_children(ids[levels[:i] + (levels[i] + 1,) + levels[i + 1:]], grid, i)
+            # A child's box array, viewed as (boxes..., children in factor i).
+            kids = _blocks(ids[levels[:i] + (levels[i] + 1,) + levels[i + 1:]], box.shape)
             parents.append(np.repeat(box.ravel(), 2 ** grid.factor_dims[i]))
             children.append(kids.ravel())
     return ids, np.concatenate(parents), np.concatenate(children)
@@ -551,12 +522,11 @@ def _best_box(grid: ProductGrid, ids: dict, blocks: list, shift: dict) -> np.nda
     closure = {levels: np.zeros(box.shape) for levels, box in ids.items()}
     closure.update(blocks)
     for i, depth in enumerate(grid.depths):
-        n = grid.factor_dims[i]
         for levels in sorted(closure, key=lambda lv: -lv[i]):
             if levels[i] < depth:
                 finer = closure[levels[:i] + (levels[i] + 1,) + levels[i + 1:]]
-                closure[levels] = closure[levels] + _split_children(finer, grid, i).sum(
-                    axis=tuple(range(-n, 0)))
+                closure[levels] = closure[levels] + _blocks(finer, closure[levels].shape).sum(
+                    axis=tuple(range(-grid.n, 0)))
     best = max(closure, key=lambda lv: float(closure[lv].max()) * 2.0 ** shift[lv])
     corner = np.unravel_index(int(np.argmax(closure[best])), closure[best].shape)
     inside = np.zeros(sum(box.size for box in ids.values()), dtype=bool)
@@ -587,9 +557,8 @@ def bmo_d_norm_cut(f: GridFunction, alpha: float | None = None) -> PackingResult
     same nodes unable to reach the sink, the start changes no witness.
     """
     grid = f.grid
-    if alpha is not None and alpha <= 0:
-        raise GridError("size cap must be positive")
-    n_boxes = _box_count(grid)
+    _check_cap(alpha)  # a bad cap is a usage error even on a grid over the box cap
+    n_boxes = math.prod(_table_shape(grid, 1))
     if n_boxes > CUT_BOX_CAP:
         raise ResourceCapError(
             f"{n_boxes} dyadic boxes exceed the cut engine's cap of {CUT_BOX_CAP}; "
@@ -598,8 +567,7 @@ def bmo_d_norm_cut(f: GridFunction, alpha: float | None = None) -> PackingResult
     ids, parents, children = _box_graph(grid)
     # |B| = 2^-shift[levels] for a box B at those levels.
     shift = {lv: sum(n * j for n, j in zip(grid.factor_dims, lv)) for lv in ids}
-    blocks = [(lv, energy) for lv, energy in _energy_blocks(f.values, grid)
-              if alpha is None or 2.0 ** -shift[lv] <= alpha]
+    blocks = _energy_blocks(f.values, grid, alpha)
     rects = np.concatenate([np.zeros(0, dtype=int)] + [ids[lv][e > 0] for lv, e in blocks])
     # Each energy is num / den exactly (den a power of two for floats); the
     # gains are the energies times one common denominator.
@@ -654,7 +622,7 @@ def bmo_d_norm_cut(f: GridFunction, alpha: float | None = None) -> PackingResult
     if top * den < num * bottom:
         bound = math.nextafter(bound, math.inf)
     return PackingResult(
-        value=_packed_energy(blocks, witness.cells) / witness.measure,
+        value=_packed_energy(blocks, witness) / witness.measure,
         witness=witness,
         mode="cut",
         diagnostics={"cuts": cuts, "boxes": n_boxes, "rectangles": len(rects),

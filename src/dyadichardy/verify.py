@@ -17,7 +17,7 @@ import numpy as np
 from .errors import GridError
 from . import generators
 from .grid import (GridFunction, OpenSetMask, ProductGrid, RectangleFamily, _blocks,
-                   _family_logs, slice_family)
+                   _check_cap, _family_logs, _measure, slice_family)
 from .maximal import TauParams, tau_build
 from .norms import (
     _aligned_oscillations,
@@ -134,8 +134,7 @@ def split_family(family: RectangleFamily, alpha: float) -> SplitResult:
     grid = family.grid
     if grid.d < 2:
         raise GridError("the pigeonhole split needs d >= 2")
-    if alpha <= 0:
-        raise GridError("alpha must be positive")
+    _check_cap(alpha)
     n, log2_alpha, logs = grid.n, math.log2(alpha), _family_logs(grid)
     total = sum(logs)
     big = RectangleFamily._from_mask(grid, family._mask & ~(-total < log2_alpha))
@@ -205,7 +204,7 @@ def check_lemma_b_base(
     identity_gap = 0.0
     n1 = grid.factor_dims[0]
     for j in range(grid.depths[0] + 1):
-        measure = 2.0 ** (-n1 * j)
+        measure = _measure(grid, (j,))
         if measure > alpha:
             continue
         # Per level-j cube, the energies of the rectangles inside it (levels
@@ -299,8 +298,8 @@ class TheoremRunConfig:
 
     def __post_init__(self):
         for name in ("epsilon", "eta", "alpha", "delta"):
-            if getattr(self, name) <= 0:
-                raise GridError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise GridError(f"{name} must be finite and positive")
         if self.generator not in ("h1-bounded", "l1-spike"):
             raise GridError(f"unknown sequence generator {self.generator!r}")
 
@@ -368,9 +367,7 @@ def theorem_demo(config: TheoremRunConfig) -> dict:
     phi_tau = phi * final_tau
     bmo_phi = little_bmo_norm(phi, p=2, rect_class="aligned").value
     case_small = _lemma_b_constant(grid, bmo_phi, config.alpha)
-    case_large = (
-        final["tau_support"] / config.alpha if config.alpha > 0 else float("inf")
-    )
+    case_large = final["tau_support"] / config.alpha
     return {
         "config": {
             "grid": grid.to_dict(),

@@ -6,7 +6,9 @@ maximal iterate, the interval kernel that ran the suffix max over
 every start/end pair, the window walk that took every factor before the
 last one side at a time, the rectangle-family operations that built
 one `DyadicRectangle` at a time and called `delta_R` per member, and the
-bit-mask packing oracle that held every mask's ratio at once."""
+bit-mask packing oracle that held every mask's ratio at once; and the
+expectation operator, the mask slice and the literal strong maximal
+function, which the package itself does not need."""
 
 import itertools
 import math
@@ -16,12 +18,47 @@ import numpy as np
 from dyadichardy import (DyadicCube, DyadicRectangle, GridFunction, OpenSetMask, OscResult,
                          ProductGrid, RectangleFamily, TauParams, delta_R, generators, tau_build)
 from dyadichardy.errors import ContractionError, GridError
-from dyadichardy.grid import _factor_cubes
+from dyadichardy.grid import _factor_cubes, _slice_index
+from dyadichardy.martingale import _coarsen
 from dyadichardy.maximal import strong_maximal
 from dyadichardy.norms import _rect_data
 from dyadichardy.verify import PASS_TOL, InequalityReport, SplitResult
 from dyadichardy.windows import (BLOCK, AlignedBox, _prefix, axis_sides, cover_max,
                                  iter_last_factor_means, iter_shapes, last_factor_max, window_sums)
+
+
+def expectation(f, i, level):
+    """Average f over level-`level` cubes of factor i; other factors untouched."""
+    grid = f.grid
+    if not 0 <= i < grid.d:
+        raise GridError(f"factor index {i} out of range")
+    if not 0 <= level <= grid.depths[i]:
+        raise GridError(f"level {level} out of range 0..{grid.depths[i]}")
+    width = 2 ** (grid.depths[i] - level)
+    vals = f.values
+    for axis in grid.factor_axes(i):
+        vals = np.repeat(_coarsen(vals, [axis], 2 ** level), width, axis=axis)
+    return GridFunction(grid, vals)
+
+
+def slice_mask(mask, i, pos):
+    """The factor-i slice of a mask at a finest cell position of factor i."""
+    return OpenSetMask(mask.grid.reduce(i), mask.cells[_slice_index(mask.grid, i, pos)])
+
+
+def strong_maximal_naive(f):
+    """Explicit loop over every aligned rectangle and its cells."""
+    grid = f.grid
+    a = np.abs(f.values.astype(np.float64))
+    out = np.full(grid.shape, -np.inf)
+    for shape in iter_shapes(grid):
+        sides = axis_sides(grid, shape)
+        ranges = [range(L - s + 1) for L, s in zip(grid.shape, sides)]
+        for starts in itertools.product(*ranges):
+            sl = tuple(slice(p, p + s) for p, s in zip(starts, sides))
+            avg = a[sl].mean()
+            np.maximum(out[sl], avg, out=out[sl])
+    return GridFunction(grid, out)
 
 
 def oracle_data(grid, kind, seed):

@@ -325,6 +325,53 @@ def test_bmo_dyadic_shift_honours_cap(tmp_path, capsys):
     assert json.loads(uncapped)["diagnostics"]["rectangles"] > plain["diagnostics"]["rectangles"]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--exact", "--cap", "0"], ["--exact", "--cap", "-1"], ["--exact", "--cap", "nan"],
+    ["--cap", "0"], ["--cap", "nan"], ["--shift", "1,0", "--cap", "nan"],
+], ids=["exact-0", "exact-negative", "exact-nan", "cut-0", "cut-nan", "shift-nan"])
+def test_bmo_dyadic_non_positive_or_nan_cap_exit_1(tmp_path, capsys, flags):
+    path = _write_function(tmp_path, (1, 1), (2, 2), 0)
+    from dyadichardy import cli
+    assert cli.main(["norms", "bmo-dyadic", "--input", path, *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "size cap must be positive" in err
+
+
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_bmo_dyadic_infinite_cap_is_no_cap(tmp_path, capsys, exact):
+    path = _write_function(tmp_path, (1, 1), (2, 2), 0)
+    base = ["norms", "bmo-dyadic", "--input", path, *exact]
+    code, capped = _main_stdout(capsys, base + ["--cap", "inf"])
+    assert code == 0
+    assert capped == _main_stdout(capsys, base)[1]
+
+
+@pytest.mark.parametrize("config, command", [
+    ({"parameters": {"alpha": float("nan")}}, ["verify", "split", "--trials", "2"]),
+    ({"parameters": {"alpha": float("nan")}}, ["demo"]),
+    ({"parameters": {"alpha": float("inf")}}, ["demo"]),
+    ({"parameters": {"delta": float("nan")}}, ["demo"]),
+], ids=["split-alpha-nan", "demo-alpha-nan", "demo-alpha-inf", "demo-delta-nan"])
+def test_non_finite_config_parameter_exit_1(tmp_path, capsys, config, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    from dyadichardy import cli
+    assert cli.main([*command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "positive" in err
+
+
+@pytest.mark.parametrize("flags", [["--delta", "nan"], ["--delta", "inf"],
+                                   ["--delta", "0.5", "--tol", "nan"]],
+                         ids=["delta-nan", "delta-inf", "tol-nan"])
+def test_tau_non_finite_parameter_exit_1(tmp_path, capsys, flags):
+    mask = tmp_path / "E.json"
+    mask.write_text(json.dumps({"grid": {"factor_dims": [1], "depths": [2]}, "cells": [0]}))
+    code, out = _main_stdout(capsys, ["tau", "--set", str(mask), *flags])
+    assert code == 1
+    assert out == ""
+
+
 @pytest.mark.parametrize("flags", [[], ["--shift", ",".join(["1"] * 12)]])
 def test_bmo_dyadic_cut_box_cap_exit_3(tmp_path, capsys, flags):
     # 4096 cells on twelve one-axis factors: 3^12 dyadic boxes, over the cap.

@@ -1,4 +1,8 @@
-"""Geometry layer: grids, cubes, rectangles, masks, slices."""
+"""Geometry layer: grids, cubes, rectangles, masks, slices, and the cube-table layout."""
+
+import itertools
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,8 +20,19 @@ from dyadichardy import (
     enumerate_rectangles,
     rectangles_in,
     slice_family,
-    slice_mask,
 )
+from dyadichardy.grid import _inside, _rectangle_at, _table_index, _table_shape, _table_views
+from oracles import slice_mask
+
+# d = 1-3, factor dims up to 3.
+LAYOUT_GRIDS = [
+    ProductGrid((1,), (3,)),
+    ProductGrid((3,), (2,)),
+    ProductGrid((2, 1), (2, 3)),
+    ProductGrid((2, 3), (1, 1)),
+    ProductGrid((1, 1, 1), (2, 2, 2)),
+    ProductGrid((1, 2, 3), (1, 1, 1)),
+]
 
 
 def test_grid_basic_invariants():
@@ -39,6 +54,17 @@ def test_grid_validation():
         ProductGrid((0,), (1,))
     with pytest.raises(GridError):
         ProductGrid((1, 1), (2,))
+
+
+def test_grid_sizes_set_once_leave_equality_hash_and_pickle_alone():
+    a, b = ProductGrid((1, 2), (2, 1)), ProductGrid([1, 2], [2, 1])
+    assert (a.shape, a.n, a.cell_count) == ((4, 2, 2), 3, 16)
+    assert a == b and hash(a) == hash(b)
+    assert repr(b) == "ProductGrid(factor_dims=(1, 2), depths=(2, 1))"
+    back = pickle.loads(pickle.dumps(a))
+    assert back == b and hash(back) == hash(b)
+    assert (back.shape, back.cell_count) == (a.shape, a.cell_count)
+    assert ProductGrid((2, 1), (2, 1)) != a
 
 
 def test_grid_round_trip():
@@ -187,3 +213,65 @@ def test_function_shape_mismatch():
     g = ProductGrid((1,), (2,))
     with pytest.raises(GridError):
         GridFunction(g, np.zeros(3))
+
+
+def _cube_tuples(grid, levels):
+    """The (levels, per-factor coords) of every rectangle at one level tuple,
+    in the C order of its (2^j per axis...) array."""
+    per_factor = [itertools.product(range(2 ** j), repeat=n)
+                  for n, j in zip(grid.factor_dims, levels)]
+    return [tuple(DyadicCube(i, j, c) for i, (j, c) in enumerate(zip(levels, cs)))
+            for cs in itertools.product(*map(list, per_factor))]
+
+
+@pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=str)
+@pytest.mark.parametrize("finest", [False, True])
+def test_table_views_partition_the_table_once(grid, finest):
+    shape = _table_shape(grid, int(finest))
+    table = np.arange(2 * math.prod(shape)).reshape([2] + shape)  # one batch axis
+    views = _table_views(table, grid, finest=finest)
+    levels = [lv for lv, _ in views]
+    assert levels == list(itertools.product(*(range(j + finest) for j in grid.depths)))
+    seen = np.concatenate([view.ravel() for _, view in views])
+    assert np.array_equal(np.sort(seen), np.arange(table.size))
+    for lv, view in views:
+        assert view.shape == (2,) + tuple(2 ** j for n, j in zip(grid.factor_dims, lv)
+                                          for _ in range(n))
+    # The views write through to the table.
+    for _, view in views:
+        view[...] = -1
+    assert (table == -1).all()
+
+
+@pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=str)
+@pytest.mark.parametrize("finest", [False, True])
+def test_table_view_entries_are_their_rectangles_table_index(grid, finest):
+    shape = _table_shape(grid, int(finest))
+    table = np.arange(math.prod(shape)).reshape(shape)
+    for levels, view in _table_views(table, grid, finest=finest):
+        for k, cubes in zip(view.ravel().tolist(), _cube_tuples(grid, levels)):
+            rect = DyadicRectangle(cubes)
+            index = np.unravel_index(k, shape)
+            assert _rectangle_at(grid, index) == rect
+            if not finest:
+                assert int(np.ravel_multi_index(_table_index(grid, rect), shape)) == k
+
+
+@pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=str)
+def test_rectangle_at_inverts_table_index(grid):
+    for rect in enumerate_rectangles(grid):
+        assert _rectangle_at(grid, _table_index(grid, rect)) == rect
+    for index in np.ndindex(*_table_shape(grid)):
+        assert _table_index(grid, _rectangle_at(grid, index)) == index
+
+
+@pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=str)
+def test_inside_matches_per_box_slicing(grid):
+    rng = np.random.default_rng(sum(grid.shape))
+    for density in (0.5, 0.9, 1.0):
+        cells = rng.random(grid.shape) < density
+        for levels in itertools.product(*(range(j + 1) for j in grid.depths)):
+            inside = _inside(cells, grid, levels)
+            expected = [bool(cells[DyadicRectangle(cubes).cell_slices(grid)].all())
+                        for cubes in _cube_tuples(grid, levels)]
+            assert inside.ravel().tolist() == expected, (levels, density)

@@ -19,12 +19,13 @@ from dyadichardy import (
     decomposition_to_dict,
     delta_R,
     enumerate_rectangles,
-    expectation,
     reconstruct,
 )
 from dyadichardy import generators
-from dyadichardy.martingale import HaarCoefficient, _level_tensors, level_difference
+from dyadichardy.grid import _table_views
+from dyadichardy.martingale import HaarCoefficient, _haar_table, level_difference
 from dyadichardy.norms import _energy_blocks
+from oracles import expectation
 
 
 SMALL_GRIDS = [
@@ -377,6 +378,11 @@ STACK_POOL = [((1,), (5,)), ((1,), (12,)), ((2,), (4,)), ((1, 1), (5, 5)), ((1, 
 # stacked Delta_R f values sorted (a record that does not depend on how the
 # engine lays its blocks out) and of the stacked energies' bytes.
 STACKED_DIGEST = "908752bc6b0a29fefc4c0854e2efc15e8946fd0dcbb607ebd72f12bd28aa9c1e"
+
+
+def _level_tensors(values, grid):
+    """[(levels, child array)] per level tuple: views of the child table."""
+    return _table_views(_haar_table(values, grid), grid, 1)
 
 
 def test_stacked_inputs_match_per_element_calls_bit_for_bit():

@@ -19,12 +19,11 @@ from dyadichardy import (
     check_a1,
     iterate_maximal,
     strong_maximal,
-    strong_maximal_naive,
     tau_build,
 )
 from dyadichardy import generators, little_bmo_norm, maximal, windows
 from oracles import (a1_weight_oracle, last_factor_max_oracle, little_bmo_p2_aligned_per_side,
-                     strong_maximal_per_side, tied_inputs)
+                     strong_maximal_naive, strong_maximal_per_side, tied_inputs)
 
 
 def random_function(grid, seed):
@@ -408,3 +407,8 @@ def test_tau_params_validation():
         TauParams(delta=0.5, c=1.5)
     with pytest.raises(GridError):
         TauParams(delta=0.5, q=1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(GridError, match="delta must be finite and positive"):
+            TauParams(delta=bad)
+        with pytest.raises(GridError, match="tol must be finite and positive"):
+            TauParams(delta=0.5, tol=bad)

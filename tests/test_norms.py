@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dyadichardy import (
     DyadicCube,
     DyadicRectangle,
+    GridError,
     GridFunction,
     OpenSetMask,
     ProductGrid,
@@ -117,6 +118,19 @@ def test_packing_energy_alpha_filter():
             mask = OpenSetMask(g, rng.random(g.shape) < density)
             for alpha in (None, 1 / 2, 1 / 4, 1 / 64):
                 assert packing_energy(f, mask, alpha) == packing_energy_oracle(f, mask, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0, -1.0, float("nan")])
+def test_every_packing_engine_refuses_a_bad_cap_before_its_work(monkeypatch, alpha):
+    from dyadichardy import norms
+    f = random_function(ProductGrid((1, 1), (2, 2)), 3)
+    monkeypatch.setattr(norms, "_energy_table", lambda *a: pytest.fail("energies computed"))
+    for engine in (bmo_d_norm_cut, bmo_d_norm_exact, bmo_d_norm_search, shifted_packing):
+        args = (f, [0, 0]) if engine is shifted_packing else (f,)
+        with pytest.raises(GridError, match="size cap must be positive"):
+            engine(*args, alpha=alpha)
+    with pytest.raises(GridError, match="size cap must be positive"):
+        packing_energy(f, OpenSetMask.full(f.grid), alpha=alpha)
 
 
 def test_energy_tables_build_no_rectangles(monkeypatch):

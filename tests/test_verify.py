@@ -313,6 +313,20 @@ def test_theorem_config_validation():
         TheoremRunConfig(grid=g, eta=-1.0)
     with pytest.raises(GridError):
         TheoremRunConfig(grid=g, generator="bogus")
+    for name in ("epsilon", "eta", "alpha", "delta"):
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(GridError, match=f"{name} must be finite and positive"):
+                TheoremRunConfig(grid=g, **{name: bad})
+
+
+@pytest.mark.parametrize("alpha", [0, -0.5, float("nan")])
+def test_split_and_rectangles_in_refuse_a_bad_cap(alpha):
+    grid = ProductGrid((1, 1), (2, 2))
+    family = enumerate_rectangles(grid)
+    with pytest.raises(GridError, match="size cap must be positive"):
+        split_family(family, alpha)
+    with pytest.raises(GridError, match="size cap must be positive"):
+        rectangles_in(family, OpenSetMask.full(grid), alpha)
 
 
 def test_theorem_demo_h1_small_scale():
