@@ -23,7 +23,6 @@ import time
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 
-import jsonschema
 import numpy as np
 
 from .errors import ContractionError, GridError, ResourceCapError
@@ -84,25 +83,34 @@ def _read_json(text: str):
 
 @functools.cache
 def _spec_validator():
-    """The experiment schema's validator; the schema itself is checked once."""
+    """The experiment schema's validator, with jsonschema's `best_match`; the
+    schema is checked once.  jsonschema is imported here, so only commands
+    that read a config or a spec load it."""
+    import jsonschema
+
     schema = json.loads(resources.files("dyadichardy").joinpath("schemas", SCHEMA_NAME).read_text())
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    return cls(schema), jsonschema.exceptions.best_match
 
 
 def _validate(instance, what="config"):
     """`instance` if it is a valid spec or, for what="config", a valid run
-    configuration (a spec's `grid` and `parameters` alone); else GridError."""
-    validator = _spec_validator()
+    configuration (a spec's `grid` and `parameters` alone); else GridError.
+    A NaN parameter passes the schema's bounds, so it is refused here."""
+    validator, best_match = _spec_validator()
     if what == "config":
         props = validator.schema["properties"]
         validator = validator.evolve(schema={
             "type": "object", "additionalProperties": False,
             "properties": {key: props[key] for key in ("grid", "parameters")}})
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    error = best_match(validator.iter_errors(instance))
     if error is not None:
         raise GridError(f"{what} failed schema validation: {error.message}")
+    for key, value in instance.get("parameters", {}).items():
+        if value != value:
+            raise GridError(f"{what} failed schema validation: parameters.{key} is NaN; "
+                            "it must be positive")
     return instance
 
 

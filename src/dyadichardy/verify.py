@@ -194,6 +194,7 @@ def check_lemma_b_base(
     """d=1 in-proof decomposition: for every dyadic cube Q0 with |Q0| <= alpha,
     the packed energy inside Q0 equals the L^2 oscillation over Q0 and is
     bounded by 2(||b||_bmo^2 + alpha^{2/n}) |Q0|."""
+    _check_cap(alpha)
     grid = phi.grid
     if grid.d != 1:
         raise GridError("the base-case check is one-parameter only")

@@ -361,6 +361,33 @@ def test_non_finite_config_parameter_exit_1(tmp_path, capsys, config, command):
     assert out == "" and "positive" in err
 
 
+@pytest.mark.parametrize("check", ["lemma-a", "abs-bmo"])
+def test_nan_parameter_exit_1_at_the_schema_gate(tmp_path, capsys, check):
+    # NaN passes the schema's exclusiveMinimum; checks that read no alpha
+    # would otherwise run and pass.  A spec meets the same gate.
+    config, spec = tmp_path / "config.json", tmp_path / "spec.json"
+    config.write_text(json.dumps({"parameters": {"alpha": float("nan")}}))
+    spec.write_text(json.dumps({"schema": "experiment-v1", "command": "verify",
+                                "subcommand": check, "parameters": {"alpha": float("nan")}}))
+    from dyadichardy import cli
+    for argv in (["verify", check, "--config", str(config), "--trials", "1"],
+                 ["run", "--spec", str(spec)]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "parameters.alpha" in err and "positive" in err
+
+
+def test_infinite_cap_parameter_passes_the_schema_gate(tmp_path, capsys):
+    f = _write_function(tmp_path, (1, 1), (2, 2), 0)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"schema": "experiment-v1", "command": "norms",
+                                "subcommand": "bmo-dyadic", "inputs": {"f": {"path": f}},
+                                "parameters": {"cap": float("inf")}}))
+    code, out = _main_stdout(capsys, ["run", "--spec", str(spec)])
+    assert (code, out) == _main_stdout(capsys, ["norms", "bmo-dyadic", "--input", f])
+    assert code == 0
+
+
 @pytest.mark.parametrize("flags", [["--delta", "nan"], ["--delta", "inf"],
                                    ["--delta", "0.5", "--tol", "nan"]],
                          ids=["delta-nan", "delta-inf", "tol-nan"])
@@ -473,6 +500,38 @@ def test_cli_import_loads_no_scipy_or_networkx():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted({"dyadichardy.cli", "jsonschema"} & set(sys.modules))
+import dyadichardy
+steps = [loaded()]
+from dyadichardy import cli
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv), out.getvalue()
+code, _ = run(["norms", "h1", "--input", sys.argv[1]])
+steps.append((code, loaded()))
+code, out = run(["verify", "lemma-a", "--config", sys.argv[2]])
+steps.append((code, loaded()))
+print(json.dumps([steps, out]))
+"""
+
+
+def test_cli_start_up_loads_jsonschema_only_to_validate(tmp_path):
+    # jsonschema takes about 0.1 s to import: the package and the commands
+    # that read no config or spec run without it, in a fresh interpreter.
+    f = _write_function(tmp_path, (1, 1), (2, 2), 0)
+    config = json.dumps({"grid": PINNED_GRID_16, "parameters": {"trials": 2, "seed": 3}})
+    res = subprocess.run([sys.executable, "-c", STARTUP_PROBE, f, config],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    steps, out = json.loads(res.stdout)
+    assert steps == [[], [0, ["dyadichardy.cli"]], [0, ["dyadichardy.cli", "jsonschema"]]]
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SPEC_DIGESTS["verify lemma-a"][1]
 
 
 @pytest.mark.parametrize("command, spec_command", [

@@ -329,6 +329,14 @@ def test_split_and_rectangles_in_refuse_a_bad_cap(alpha):
         rectangles_in(family, OpenSetMask.full(grid), alpha)
 
 
+@pytest.mark.parametrize("alpha", [0, -0.5, float("nan")])
+def test_lemma_b_base_refuses_a_bad_cap(alpha):
+    g = ProductGrid((1,), (3,))
+    phi = generators.smooth_bump(g)
+    with pytest.raises(GridError, match="size cap must be positive"):
+        check_lemma_b_base(phi, phi, alpha)
+
+
 def test_theorem_demo_h1_small_scale():
     g = ProductGrid((1, 1), (3, 3))
     rep = theorem_demo(TheoremRunConfig(
