@@ -17,6 +17,7 @@ import csv
 import functools
 import inspect
 import io
+import itertools
 import json
 import sys
 import time
@@ -145,21 +146,31 @@ def _jsonable(obj):
     return obj
 
 
+def _number_lists(rows: list, pad: str):
+    """`_dumps` of each row at indent `pad`, cut from one `repr` of all rows;
+    None unless each row is a nonempty flat list of finite ints and floats."""
+    if all(type(row) is list and row for row in rows) and set(
+            map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
+        text = repr(rows)[2:-2]
+        if "n" not in text:  # of a number's reprs only nan and inf have an n
+            return ["[" + pad + row.replace(", ", "," + pad) + pad[:-2] + "]"
+                    for row in text.split("], [")]
+
+
 def _dumps(obj, level=0) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` of plain JSON data, byte for
-    byte; a flat list of finite numbers is written by one `repr`."""
+    byte; one `repr` writes a flat list of finite numbers, or a dict of such."""
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, dict) and obj:
-        items = (encode_basestring_ascii(k) + ": " + _dumps(v, level + 1)
-                 for k, v in sorted(obj.items()))
+        keys = sorted(obj)
+        texts = (_number_lists([obj[k] for k in keys], pad + "  ")
+                 or [_dumps(obj[k], level + 1) for k in keys])
+        items = (encode_basestring_ascii(k) + ": " + v for k, v in zip(keys, texts))
         return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
     if not isinstance(obj, list) or not obj:
         return json.dumps(obj)
-    if set(map(type, obj)) <= {float, int}:
-        text = repr(obj)[1:-1]
-        if "n" not in text:  # of a number's reprs only nan and inf have an n
-            return "[" + pad + text.replace(", ", "," + pad) + pad[:-2] + "]"
-    return "[" + pad + ("," + pad).join(_dumps(v, level + 1) for v in obj) + pad[:-2] + "]"
+    return (_number_lists([obj], pad) or [
+        "[" + pad + ("," + pad).join(_dumps(v, level + 1) for v in obj) + pad[:-2] + "]"])[0]
 
 
 def _flatten_csv_rows(obj, prefix=""):

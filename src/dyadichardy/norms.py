@@ -460,25 +460,30 @@ def _greedy_flow(adj: list, fwd: list, to: list, cap: list, s: int, t: int) -> N
                 path.pop()
 
 
-def _max_flow(adj: list, to: list, cap: list, s: int, t: int) -> None:
-    """Dinic's blocking flows from s to t, in place on `cap` (edge e's
-    reverse is e ^ 1), until no augmenting path is left."""
+def _finish_flow(adj: list, to: list, cap: list, s: int, t: int) -> list:
+    """Complete the valid flow in `cap` (edge e's reverse is e ^ 1) to a
+    maximum flow from s to t, in place, by shortest augmenting paths on
+    distance-to-sink labels (Ahuja-Orlin).  A reverse BFS from t sets exact
+    labels, 1 + the residual distance to t or 0 where t is out of reach; a
+    current-arc DFS from s steps one label down, so it never enters a node
+    that cannot reach t; a dead end takes 1 + the least label of its
+    residual arcs; n // 4 + 1 relabels later the BFS runs again.  Once a
+    BFS does not reach s the flow is maximum, and its labels are returned."""
     n = len(adj)
     while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for e in adj[u]:
-                if cap[e] and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
+        label = [0] * n
+        label[t] = 1
+        queue = [t]
+        for v in queue:
+            up = label[v] + 1
+            for e in adj[v]:
+                if cap[e ^ 1] and not label[to[e]]:
+                    label[to[e]] = up
                     queue.append(to[e])
-        if level[t] < 0:
-            return
-        ptr = [0] * n
-        path = []
-        u = s
-        while True:
+        if not label[s]:
+            return label
+        ptr, path, u, relabels = [0] * n, [], s, n // 4 + 1
+        while relabels and 0 < label[s] <= n:
             if u == t:
                 push = min(cap[e] for e in path)
                 for e in path:
@@ -487,32 +492,22 @@ def _max_flow(adj: list, to: list, cap: list, s: int, t: int) -> None:
                 del path[next(k for k, e in enumerate(path) if not cap[e]):]
                 u = to[path[-1]] if path else s
                 continue
-            edges, k, below = adj[u], ptr[u], level[u] + 1
-            while k < len(edges) and not (cap[edges[k]] and level[to[edges[k]]] == below):
+            edges, k, below = adj[u], ptr[u], label[u] - 1
+            while k < len(edges) and not (cap[edges[k]] and label[to[edges[k]]] == below):
                 k += 1
-            ptr[u] = k
             if k < len(edges):
+                ptr[u] = k
                 path.append(edges[k])
                 u = to[edges[k]]
                 continue
-            level[u] = -1  # a dead end for the rest of this phase
-            if not path:
-                break
-            u = to[path.pop() ^ 1]
-            ptr[u] += 1
-
-
-def _drains(adj: list, to: list, cap: list, t: int) -> list:
-    """Per node, whether it reaches the sink t in the residual graph."""
-    drains = [False] * len(adj)
-    drains[t] = True
-    queue = [t]
-    for v in queue:
-        for e in adj[v]:
-            if cap[e ^ 1] and not drains[to[e]]:
-                drains[to[e]] = True
-                queue.append(to[e])
-    return drains
+            # Residual arcs only to label 0 mean no path to t, and augmenting
+            # elsewhere never opens one: then the label drops to 0 as well.
+            label[u] = 1 + min([label[to[e]] for e in edges if cap[e] and label[to[e]]],
+                               default=-1)
+            ptr[u] = 0
+            relabels -= 1
+            if path:
+                u = to[path.pop() ^ 1]
 
 
 def _best_box(grid: ProductGrid, ids: dict, blocks: list, shift: dict) -> np.ndarray:
@@ -552,9 +547,12 @@ def bmo_d_norm_cut(f: GridFunction, alpha: float | None = None) -> PackingResult
     (Goldberg).  The witness is the largest optimal mask, the cells that
     cannot reach the sink in the final residual graph, and `value` is its
     recomputed packing ratio.  Each flow starts from a greedy routing of
-    the source edges, finest level tuples first, down forward edges; Dinic
-    completes that valid flow, and since every maximum flow leaves the
-    same nodes unable to reach the sink, the start changes no witness.
+    the source edges, finest level tuples first, down forward edges, and
+    `_finish_flow` completes it by shortest augmenting paths on distance-to-
+    sink labels.  It returns only after a BFS from the sink proves that no
+    augmenting path is left, so the flow is maximum; every maximum flow
+    leaves the same nodes unable to reach the sink, so neither the start
+    nor the finisher changes the witness.
     """
     grid = f.grid
     _check_cap(alpha)  # a bad cap is a usage error even on a grid over the box cap
@@ -603,8 +601,7 @@ def bmo_d_norm_cut(f: GridFunction, alpha: float | None = None) -> PackingResult
         cap[2 * len(cells):feed:2] = [k * sum(gains) + 1] * parents.size
         cap[feed::2] = [k * g for g in gains]
         _greedy_flow(adj, fwd, to, cap, s, t)
-        _max_flow(adj, to, cap, s, t)
-        drains = _drains(adj, to, cap, t)
+        drains = _finish_flow(adj, to, cap, s, t)
         # The nodes that cannot reach the sink form the largest optimal
         # closure Omega.  Unsaturated source edges leave it a positive value
         # k N(Omega) - N |Omega|; then its ratio is the next lambda = N/k.

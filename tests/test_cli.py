@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 GRID_1D = '{"factor_dims":[1],"depths":[2]}'
 
@@ -868,8 +869,28 @@ _json_values = st.recursive(
     max_leaves=25)
 
 
+# A dict of number lists is written from one repr of all its numbers, as
+# `decompose` writes 1 023 two-float lists on (1,)x(10,); a nan, an inf, a
+# bool, a nested or an empty list, or a value that is not a list, in any of
+# the dict's values sends the whole dict down the path one value at a time.
+_rng = random.Random(0)
+_TWO_FLOATS = {f"0:{k}": [_rng.uniform(-1, 1), _rng.uniform(-1, 1)] for k in range(1023)}
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_json_values)
+@example(_TWO_FLOATS)
+@example({"a": [1, -0.0, 1e16, 5e-324, 2 ** 70], "b": [0.1], "c": [-3]})
+@example({"a": [1.0, 2.0], "b": [float("nan")]})
+@example({"a": [1.0], "b": [float("inf"), 2.0]})
+@example({"a": [1.0], "b": [True]})
+@example({"a": [1.0], "b": [[1.0]]})
+@example({"a": [1.0], "b": []})
+@example({"a": [1.0], "b": 2.0})
+@example({"a": [1.0], "b": {"c": [2.0]}})
+@example([[1.0, 2.0], [3.0]])
+@example([1.5, -2, float("-inf")])
+@example([0, False])
 def test_dumps_matches_json_dumps(value):
     from dyadichardy.cli import _dumps
     assert _dumps(value) + "\n" == json.dumps(value, indent=2, sort_keys=True) + "\n"

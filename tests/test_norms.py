@@ -534,6 +534,16 @@ CUT_DIGESTS = {
         "730db09223c7fd1343c9b89bd2ea199e2aeee9d941bdd64e2328f80b08179dbf",
     ("random", (1, 1), (4, 4), 4, None, (3, 5)):
         "4b2970553b39c4ec3ada21c0cda5b7651b5d96909122bd9d61889489378c491b",
+    # The shifted 3-factor inputs that left the flow finisher the most work,
+    # and a 4-factor grid; recorded with the Dinic finisher.
+    ("random", (1, 1, 1), (3, 3, 3), 0, None, (1, 1, 1)):
+        "fa95f97b7ed47dff71211663a737d9bd9c52fe6c72472f83c08dd766d31516f8",
+    ("random", (1, 1, 1), (3, 3, 3), 4, None, (1, 1, 1)):
+        "c917a14e02e4d2e99e4c0ae5f11501c0509c5f580073cdb67a6a14aba2b3d45b",
+    ("random", (1, 1, 1), (3, 3, 3), 7, None, (1, 1, 1)):
+        "b9a478d824d90ae3f393d02fa970d4572d32bb16d697ff4f576ea47f17b84176",
+    ("random", (1, 1, 1, 1), (2, 2, 2, 2), 0, None, None):
+        "042358327112a4f2b97996fa93e9a59fe070ee47ade06577e17dde3a4196e347",
 }
 
 
@@ -551,6 +561,73 @@ def test_bmo_d_cut_golden_digests():
         digests[kind, dims, depths, seed, alpha, shift] = hashlib.sha256(
             key.encode() + res.witness.cells.tobytes()).hexdigest()
     assert digests == CUT_DIGESTS
+
+
+def _cut_flows(monkeypatch, f, alpha):
+    """Each flow problem of `bmo_d_norm_cut(f, alpha)`, on the graph it builds:
+    (adj, to, zero-flow capacities, capacities after the greedy start, s, t)."""
+    from dyadichardy import norms
+    flows, greedy = [], norms._greedy_flow
+
+    def record(adj, fwd, to, cap, s, t):
+        zero = list(cap)
+        greedy(adj, fwd, to, cap, s, t)
+        flows.append((adj, to, zero, list(cap), s, t))
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_greedy_flow", record)
+        bmo_d_norm_cut(f, alpha=alpha)
+    return flows
+
+
+FLOW_GRIDS = [((1,), (6,)), ((2,), (3,)), ((1, 1), (3, 3)), ((1, 2), (3, 2)),
+              ((1, 1, 1), (3, 3, 3)), ((1, 1, 1, 1), (2, 2, 2, 2))]
+
+
+@pytest.mark.parametrize("alpha", [None, 0.25])
+@pytest.mark.parametrize("dims, depths", FLOW_GRIDS)
+def test_finish_flow_is_maximum_and_labels_the_nodes_that_drain(monkeypatch, dims, depths, alpha):
+    # Checked against the edge list alone: edge e runs to[e ^ 1] -> to[e].
+    from dyadichardy.norms import _finish_flow
+    grid = ProductGrid(dims, depths)
+    for seed in range(3):
+        for adj, to, zero, greedy, s, t in _cut_flows(
+                monkeypatch, generators.random_uniform(grid, seed=seed), alpha):
+            n, values = len(adj), set()
+            out, into = [[] for _ in range(n)], [[] for _ in range(n)]
+            for e in range(len(to)):
+                out[to[e ^ 1]].append(e)
+                into[to[e]].append(e)
+            for start in (zero, greedy):
+                cap = list(start)
+                label = _finish_flow(adj, to, cap, s, t)
+                # Capacities: no residual is negative and each pair keeps its sum.
+                assert min(cap) >= 0
+                assert [a + b for a, b in zip(cap[::2], cap[1::2])] == zero[::2]
+                # Conservation: edge 2m carries the flow cap[2m + 1].
+                net = [0] * n
+                for m, x in enumerate(cap[1::2]):
+                    net[to[2 * m + 1]] -= x
+                    net[to[2 * m]] += x
+                assert all(v == 0 for u, v in enumerate(net) if u not in (s, t))
+                assert net[t] == -net[s] >= 0
+                values.add(net[t])
+                # No augmenting path: t is out of reach of s.
+                reach, queue = {s}, [s]
+                for u in queue:
+                    for e in out[u]:
+                        if cap[e] and to[e] not in reach:
+                            reach.add(to[e])
+                            queue.append(to[e])
+                assert t not in reach
+                # The labels are true exactly at the nodes that reach t.
+                drains, queue = {t}, [t]
+                for v in queue:
+                    for e in into[v]:
+                        if cap[e] and to[e ^ 1] not in drains:
+                            drains.add(to[e ^ 1])
+                            queue.append(to[e ^ 1])
+                assert [bool(x) for x in label] == [u in drains for u in range(n)]
+            assert len(values) == 1  # both starts end at the maximum flow value
 
 
 def test_bmo_d_cut_of_constant_is_zero():
