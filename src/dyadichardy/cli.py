@@ -48,6 +48,7 @@ from .norms import (
     square_function,
 )
 from .verify import (
+    CONFIG_KEYS,
     TheoremRunConfig,
     check_abs_bmo,
     check_lemma_a,
@@ -63,11 +64,6 @@ EXIT_FAIL = 2
 EXIT_CAP = 3
 
 SCHEMA_NAME = "experiment-v1.schema.json"
-
-
-# The run-configuration parameters that `verify` and `demo` read; a verify
-# spec's other parameters are handler arguments.
-CONFIG_KEYS = ("epsilon", "eta", "alpha", "delta", "generator", "horizon")
 
 # ---------------------------------------------------------------- I/O helpers
 
@@ -267,20 +263,8 @@ def cmd_maximal(*, f, iter=1, check_a1=False):
     return report
 
 
-def cmd_tau(*, E, delta, c=None, tol=1e-8, kmax=60):
-    report = tau_build(E, TauParams(delta=delta, c=c, tol=tol, kmax=kmax))
-    return {
-        "tau": report.tau,
-        "m": report.m,
-        "bmo_norm_measured": report.bmo_norm_measured,
-        "support_measure": report.support_measure,
-        "terms_used": report.terms_used,
-        "contraction_ratios": report.contraction_ratios,
-        "delta": report.delta,
-        "c_used": report.c_used,
-        "l2_ratio": report.l2_ratio,
-        "chebyshev_c2": report.chebyshev_c2,
-    }
+def cmd_tau(*, E, delta, c=None, tol=TauParams.tol, kmax=TauParams.kmax):
+    return vars(tau_build(E, TauParams(delta=delta, c=c, tol=tol, kmax=kmax)))
 
 
 # ------------------------------------------------------------- verify runners
@@ -375,6 +359,8 @@ def cmd_verify(check, *, config=None, trials=None, seed=None):
     alpha = params.get("alpha", 0.25)
     trials = params.get("trials", 20) if trials is None else trials
     seed = params.get("seed", 0) if seed is None else seed
+    if trials < 1:
+        raise GridError(f"{check} needs at least one trial, not {trials}")
     rng = np.random.default_rng(seed)
     reports = [dict(run_trial(grid, rng, alpha), trial=t) for t in range(trials)]
     summary = {"check": check, "trials": trials, "seed": seed,

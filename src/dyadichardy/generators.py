@@ -7,12 +7,16 @@ sequences carry exact unit mass on supports of measure 2^{-n}.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import operator
 
 import numpy as np
 
 from .errors import GridError
-from .grid import DyadicCube, DyadicRectangle, GridFunction, OpenSetMask, ProductGrid
+from .grid import (DyadicCube, DyadicRectangle, GridFunction, OpenSetMask, ProductGrid,
+                   _table_index)
 from .norms import h1_norm
 from .windows import factor_gradient_l1max
 
@@ -27,6 +31,13 @@ def coarsest_rectangle(grid: ProductGrid) -> DyadicRectangle:
     ))
 
 
+def _child_signs(shape: tuple) -> np.ndarray:
+    """+1 on the first half of each axis and -1 on the second, multiplied over
+    the axes: the sign of each child combination of a block of `shape`."""
+    return functools.reduce(np.multiply.outer, (
+        np.where(np.arange(width) < width // 2, 1.0, -1.0) for width in shape), np.ones(()))
+
+
 def haar_atom(
     grid: ProductGrid,
     rect: DyadicRectangle | None = None,
@@ -34,19 +45,15 @@ def haar_atom(
 ) -> GridFunction:
     """The product Haar pattern on a rectangle: +/-1 per child combination.
 
-    normalize: "h1" (||Sf||_1 = 1), "l2", "sup", or None.
+    normalize: "h1" (||Sf||_1 = 1), "l2", "sup", or None.  A rectangle that
+    is not Delta-eligible on `grid` raises GridError.
     """
     if rect is None:
         rect = coarsest_rectangle(grid)
+    _table_index(grid, rect)
     vals = np.zeros(grid.shape)
-    sub_shape = tuple(sl.stop - sl.start for sl in rect.cell_slices(grid))
-    pattern = np.ones(sub_shape)
-    for axis, width in enumerate(sub_shape):
-        signs = np.where(np.arange(width) < width // 2, 1.0, -1.0)
-        shape = [1] * len(sub_shape)
-        shape[axis] = width
-        pattern = pattern * signs.reshape(shape)
-    vals[rect.cell_slices(grid)] = pattern
+    block = rect.cell_slices(grid)
+    vals[block] = _child_signs(tuple(sl.stop - sl.start for sl in block))
     f = GridFunction(grid, vals)
     if normalize == "h1":
         scale = h1_norm(f)
@@ -80,15 +87,6 @@ def random_uniform(
     return GridFunction(grid, vals)
 
 
-def _cell_centers(grid: ProductGrid) -> list:
-    out = []
-    for i in range(grid.d):
-        side = grid.axis_side(i)
-        for _ in range(grid.factor_dims[i]):
-            out.append((np.arange(side) + 0.5) / side)
-    return out
-
-
 def smooth_bump(
     grid: ProductGrid,
     center: float = 0.5,
@@ -102,14 +100,12 @@ def smooth_bump(
     discrete gradient l1 norm is at most `margin` (and the sup at most 1);
     otherwise only the sup is normalized to 1.
     """
-    centers = _cell_centers(grid)
-    vals = np.ones(grid.shape)
-    for axis, xs in enumerate(centers):
-        t = (xs - center) / (width / 2.0)
+    profiles = []  # one per axis, sampled on the cell centers
+    for i, side in enumerate(map(grid.axis_side, range(grid.d))):
+        t = ((np.arange(side) + 0.5) / side - center) / (width / 2.0)
         profile = np.where(np.abs(t) < 1.0, np.cos(np.pi * t / 2.0) ** 2, 0.0)
-        shape = [1] * len(grid.shape)
-        shape[axis] = len(xs)
-        vals = vals * profile.reshape(shape)
+        profiles += [profile] * grid.factor_dims[i]
+    vals = functools.reduce(np.multiply.outer, profiles, np.ones(()))
     f = GridFunction(grid, vals)
     sup = f.linf()
     if sup == 0.0:
@@ -144,7 +140,7 @@ def _spike_axis_halvings(grid: ProductGrid, n: int) -> list:
 
 def spike_sequence(
     grid: ProductGrid,
-    n: int,
+    n: int = 0,
     oscillation_growth: float = 2.5,
     oscillation_scale: float = 1.0,
 ) -> GridFunction:
@@ -155,31 +151,22 @@ def spike_sequence(
     growing geometrically) keeps the mass exactly 1 while driving the H^1
     norm up; oscillation_scale=0 gives the plain indicator spike.
     """
+    n = operator.index(n)
     if n < 0:
         raise GridError("sequence index must be >= 0")
     halvings = _spike_axis_halvings(grid, n)
     vals = np.zeros(grid.shape)
-    starts, sizes = [], []
-    for a, (length, h) in enumerate(zip(grid.shape, halvings)):
-        size = length >> h
-        start = length // 2 if h >= 1 else 0
-        starts.append(start)
-        sizes.append(size)
-    support = tuple(slice(s, s + z) for s, z in zip(starts, sizes))
-    vals[support] = 2.0 ** n
+    starts = [length // 2 if h >= 1 else 0 for length, h in zip(grid.shape, halvings)]
+    sizes = [length >> h for length, h in zip(grid.shape, halvings)]
+    vals[tuple(slice(s, s + z) for s, z in zip(starts, sizes))] = 2.0 ** n
     if oscillation_scale > 0.0:
         block = tuple(slice(s, s + 2) for s in starts)
-        pattern = np.ones((2,) * len(grid.shape))
-        for axis in range(len(grid.shape)):
-            shape = [1] * len(grid.shape)
-            shape[axis] = 2
-            pattern = pattern * np.array([1.0, -1.0]).reshape(shape)
         amplitude = (
             oscillation_scale
             * oscillation_growth ** n
             / (2 ** len(grid.shape) * grid.cell_volume)
         )
-        vals[block] += amplitude * pattern
+        vals[block] += amplitude * _child_signs((2,) * len(grid.shape))
     return GridFunction(grid, vals)
 
 
@@ -198,10 +185,11 @@ def _nested_rectangle(grid: ProductGrid, n: int) -> DyadicRectangle:
     return DyadicRectangle(tuple(cubes))
 
 
-def h1_bounded_sequence(grid: ProductGrid, n: int) -> tuple:
+def h1_bounded_sequence(grid: ProductGrid, n: int = 0) -> tuple:
     """(f_n, f): f is a fixed bump with ||f||_{H^1} = 1/2 and f_n adds a
     shrinking Haar bump of H^1 norm 1/2, so ||f_n||_{H^1} <= 1 for all n
     and f_n -> f off a set of vanishing measure."""
+    n = operator.index(n)
     base = smooth_bump(grid, gradient_bound=False)
     h1_base = h1_norm(base)
     if h1_base == 0:
@@ -220,51 +208,64 @@ def random_mask(grid: ProductGrid, seed: int = 0, density: float = 0.5) -> OpenS
     return OpenSetMask(grid, cells)
 
 
-def cell_mask(grid: ProductGrid, indices) -> OpenSetMask:
-    return OpenSetMask.from_cell_indices(grid, indices)
+def cell_mask(grid: ProductGrid, cells=(0,)) -> OpenSetMask:
+    return OpenSetMask.from_cell_indices(grid, cells)
+
+
+def _haar_atom_kind(grid: ProductGrid, rectangle: str | None = None, **options) -> GridFunction:
+    """haar-atom: `rectangle` is a rectangle key such as "0:1:(0)|1:0:(0)"."""
+    if rectangle is not None:
+        if not isinstance(rectangle, str):
+            raise TypeError(f"rectangle {rectangle!r} is not a rectangle key")
+        rectangle = DyadicRectangle.from_key(rectangle)
+    return haar_atom(grid, rectangle, **options)
+
+
+def _h1_bounded_kind(grid: ProductGrid, **options) -> GridFunction:
+    """h1-bounded-sequence: the member f_n alone."""
+    return h1_bounded_sequence(grid, **options)[0]
+
+
+# Generator kind -> its function; `generate` binds a kind's parameters to
+# that function's own signature, so its defaults are the only ones.
+_KINDS = {
+    "constant": constant,
+    "haar-atom": _haar_atom_kind,
+    "random-uniform": random_uniform,
+    "smooth-bump": smooth_bump,
+    "spike-sequence": spike_sequence,
+    "h1-bounded-sequence": _h1_bounded_kind,
+    "random-mask": random_mask,
+    "cell-mask": cell_mask,
+}
 
 
 def generate(kind: str, grid: ProductGrid, params: dict | None = None, seed: int = 0):
     """Dispatch by generator kind; returns a GridFunction or OpenSetMask.
-    An unknown kind or a parameter of the wrong type raises GridError."""
+
+    `params` are the keyword arguments of the kind's function, and `seed`
+    goes to a kind whose function takes one.  An unknown kind or key, a
+    `seed` key in `params`, a parameter of the wrong type, or a non-finite
+    parameter or generated value raises GridError."""
+    if kind not in _KINDS:
+        raise GridError(f"unknown generator kind {kind!r}")
+    params = dict(params or {})
+    if "seed" in params:
+        raise GridError(f"generator {kind!r}: the seed is not a parameter; pass it as the "
+                        "seed (--seed, or the input's `seed`)")
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise GridError(f"generator {kind!r}: parameter {key} is {value}; it must be finite")
+    # Looked up by name at call time, as a direct call is: a rebound name sees it.
+    function = globals()[_KINDS[kind].__name__]
+    if "seed" in inspect.signature(function).parameters:
+        params["seed"] = seed
     try:
-        return _generate(kind, grid, dict(params or {}), seed)
-    except TypeError as exc:
+        out = function(grid, **params)
+        finite = not isinstance(out, GridFunction) or np.isfinite(
+            np.asarray(out.values, float)).all()
+    except (TypeError, OverflowError) as exc:
         raise GridError(f"generator {kind!r}: {exc}") from None
-
-
-def _generate(kind: str, grid: ProductGrid, params: dict, seed: int):
-    if kind == "constant":
-        return constant(grid, params.get("value", 1.0))
-    if kind == "haar-atom":
-        rect = None
-        if "rectangle" in params:
-            rect = DyadicRectangle.from_key(params["rectangle"])
-        return haar_atom(grid, rect, params.get("normalize", "h1"))
-    if kind == "random-uniform":
-        return random_uniform(
-            grid, seed,
-            params.get("low", -1.0), params.get("high", 1.0),
-            params.get("dyadic_bits"),
-        )
-    if kind == "smooth-bump":
-        return smooth_bump(
-            grid,
-            params.get("center", 0.5),
-            params.get("width", 0.8),
-            params.get("margin", 0.9),
-            params.get("gradient_bound", True),
-        )
-    if kind == "spike-sequence":
-        return spike_sequence(
-            grid, int(params.get("n", 0)),
-            params.get("oscillation_growth", 2.5),
-            params.get("oscillation_scale", 1.0),
-        )
-    if kind == "h1-bounded-sequence":
-        return h1_bounded_sequence(grid, int(params.get("n", 0)))[0]
-    if kind == "random-mask":
-        return random_mask(grid, seed, params.get("density", 0.5))
-    if kind == "cell-mask":
-        return cell_mask(grid, params.get("cells", [0]))
-    raise GridError(f"unknown generator kind {kind!r}")
+    if not finite:
+        raise GridError(f"generator {kind!r}: the parameters give a non-finite value")
+    return out

@@ -368,10 +368,13 @@ def _cube_index(n: int, level: int, coords) -> int:
 
 def _table_index(grid: ProductGrid, rect) -> tuple:
     """A rectangle's cube-table index; GridError if it is not Delta-eligible on
-    `grid`, ValueError if a cube has the wrong number of coordinates."""
+    `grid` or has the wrong number of factors or of coordinates."""
     if not isinstance(rect, DyadicRectangle) or len(rect.cubes) != grid.d:
         raise GridError("rectangle factor count does not match grid")
-    for q, depth in zip(rect.cubes, grid.depths):
+    for q, depth, n in zip(rect.cubes, grid.depths, grid.factor_dims):
+        if len(q.coords) != n:
+            raise GridError(f"cube {q.key()} has {len(q.coords)} coordinates; factor {q.factor} "
+                            f"has {n} axes")
         if not 0 <= q.level <= depth - 1:
             raise GridError(f"cube level {q.level} not Delta-eligible (need <= {depth - 1})")
     return tuple(_cube_index(n, q.level, q.coords) for n, q in zip(grid.factor_dims, rect.cubes))

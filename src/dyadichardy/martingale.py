@@ -140,7 +140,7 @@ def _locate(grid: ProductGrid, rect) -> tuple | None:
     """(levels, block coordinates) of a Delta-eligible rectangle of `grid`, else None."""
     try:
         _table_index(grid, rect)
-    except (GridError, ValueError):
+    except GridError:
         return None
     return rect.levels, tuple(c for q in rect.cubes for c in q.coords)
 

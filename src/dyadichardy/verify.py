@@ -33,6 +33,10 @@ from .windows import factor_gradient_l1max
 
 PASS_TOL = 1e-10
 
+# The run-configuration parameters of `TheoremRunConfig` that `verify` and
+# `demo` read and the theorem demo reports.
+CONFIG_KEYS = ("epsilon", "eta", "alpha", "delta", "generator", "horizon")
+
 
 @dataclass
 class InequalityReport:
@@ -370,15 +374,7 @@ def theorem_demo(config: TheoremRunConfig) -> dict:
     case_small = _lemma_b_constant(grid, bmo_phi, config.alpha)
     case_large = final["tau_support"] / config.alpha
     return {
-        "config": {
-            "grid": grid.to_dict(),
-            "epsilon": config.epsilon,
-            "eta": config.eta,
-            "alpha": config.alpha,
-            "delta": config.delta,
-            "generator": config.generator,
-            "horizon": config.horizon,
-        },
+        "config": {"grid": grid.to_dict(), **{k: getattr(config, k) for k in CONFIG_KEYS}},
         "phi_at_x0": phi_x0,
         "records": [r for r, _ in records],
         "phi_tau_bmo": bmo_d_norm_cut(phi_tau).value,

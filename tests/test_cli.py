@@ -894,3 +894,126 @@ _TWO_FLOATS = {f"0:{k}": [_rng.uniform(-1, 1), _rng.uniform(-1, 1)] for k in ran
 def test_dumps_matches_json_dumps(value):
     from dyadichardy.cli import _dumps
     assert _dumps(value) + "\n" == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# sha256 of stdout and the exit code of `generate` for every kind, with no
+# --params and with the parameters below, recorded before the generator
+# kinds were bound to their functions' signatures.
+GENERATE_GRID = '{"factor_dims":[1,1],"depths":[3,3]}'
+PINNED_GENERATE_RUNS = {
+    "constant": ("constant", None),
+    "haar-atom": ("haar-atom", None),
+    "random-uniform": ("random-uniform", None),
+    "smooth-bump": ("smooth-bump", None),
+    "spike-sequence": ("spike-sequence", None),
+    "h1-bounded-sequence": ("h1-bounded-sequence", None),
+    "random-mask": ("random-mask", None),
+    "cell-mask": ("cell-mask", None),
+    "haar-atom rectangle": ("haar-atom", '{"rectangle": "0:1:(1)|1:2:(2)"}'),
+    "cell-mask cells": ("cell-mask", '{"cells": [3, 5, 12]}'),
+    "spike-sequence n=3": ("spike-sequence", '{"n": 3}'),
+}
+PINNED_GENERATE_DIGESTS = {
+    "constant": "12655a9c5dbd803f6f77971ccf8357105d00fa9ffe6336eeaa902c70423f31c5",
+    "haar-atom": "b7a74cc98a129579293d0d22b6e3be5cf60620a5ac4152adc88a1eb4775c68e6",
+    "random-uniform": "fc0be0db25ca172fc2463e6fdf7a0429253092d989e1592394d8ea2985cbf42e",
+    "smooth-bump": "945821736ad780f66cccc05e5bfde8465e862b8f791b22df066f24a416d1e478",
+    "spike-sequence": "7d4c85a2047288dfe85e0bace3747d858eb234d811b683c0054b163752e27e12",
+    "h1-bounded-sequence": "9777f402afa4d973c67a046376d74d23dd0d7f783e519ea3ea14759eb3f98da3",
+    "random-mask": "4572a0775c0acef2676a6f331649cb858ba3387bdc1b2b9b4cd38a0246dbc425",
+    "cell-mask": "b10a6cc342ca63a86cb4aada34455011153f81ffc2aa1958d0e479172b24c2d7",
+    "haar-atom rectangle": "4cb0a3cac1af26350c721b5269f02f35358937188d855029a3a68ae2f185b683",
+    "cell-mask cells": "13a13f40921f95eacd097712370c5a9082a6d0825f87e82d2b36255ea6ce3404",
+    "spike-sequence n=3": "91f22a29c3a948e4f3d6ca0994388839f1a67a3c55b13f7ab86490440cd92209",
+}
+GENERATOR_KINDS = ["constant", "haar-atom", "random-uniform", "smooth-bump", "spike-sequence",
+                   "h1-bounded-sequence", "random-mask", "cell-mask"]
+
+
+@pytest.mark.parametrize("name", PINNED_GENERATE_RUNS)
+def test_generate_stdout_digests(capsys, name):
+    kind, params = PINNED_GENERATE_RUNS[name]
+    argv = ["generate", "--kind", kind, "--grid", GENERATE_GRID]
+    code, out = _main_stdout(capsys, argv + (["--params", params] if params else []))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, PINNED_GENERATE_DIGESTS[name])
+
+
+def _generate_exit(tmp_path, capsys, kind, params, route):
+    """(exit code, stdout, stderr) of `generate` with `params`, through
+    --params or through a `run --spec` input of that kind."""
+    from dyadichardy import cli
+    if route == "params":
+        argv = ["generate", "--kind", kind, "--grid", GENERATE_GRID, "--params", json.dumps(params)]
+    else:
+        mask = kind in ("random-mask", "cell-mask")
+        spec = {"schema": "experiment-v1", "command": "tau" if mask else "norms",
+                "grid": json.loads(GENERATE_GRID),
+                "inputs": {"E" if mask else "f": {"kind": kind, "params": params}}}
+        spec.update({"parameters": {"delta": 0.5}} if mask else {"subcommand": "h1"})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["run", "--spec", str(path)]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("route", ["params", "spec"])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generate_unknown_parameter_exit_1(tmp_path, capsys, kind, route):
+    code, out, err = _generate_exit(tmp_path, capsys, kind, {"centre": 0.1}, route)
+    assert (code, out) == (1, "")
+    assert "centre" in err
+
+
+@pytest.mark.parametrize("route", ["params", "spec"])
+@pytest.mark.parametrize("kind, params, message", [
+    ("spike-sequence", {"n": 1.5}, "integer"),
+    ("h1-bounded-sequence", {"n": 1.5}, "integer"),
+    ("constant", {"value": float("nan")}, "finite"),
+    ("spike-sequence", {"n": 1, "oscillation_growth": float("inf")}, "finite"),
+    ("random-uniform", {"low": float("nan")}, "finite"),
+    ("random-mask", {"density": float("nan")}, "finite"),
+    ("spike-sequence", {"n": 1, "oscillation_growth": 1e308, "oscillation_scale": 1e10},
+     "non-finite value"),
+    ("random-uniform", {"low": -1e308, "high": 1e308}, "range"),
+    ("constant", {"value": 10 ** 400}, "too large"),
+    ("random-uniform", {"seed": 3}, "seed"),
+    ("random-mask", {"seed": 3}, "seed"),
+    ("haar-atom", {"rectangle": 5}, "rectangle key"),
+])
+def test_generate_bad_parameter_exit_1(tmp_path, capsys, kind, params, message, route):
+    code, out, err = _generate_exit(tmp_path, capsys, kind, params, route)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("rectangle, message", [
+    ("0:0:(0)|1:0:(0)", "factor count"),
+    ("0:1:(0,0)", "2 coordinates"),
+    ("0:2:(3)", "not Delta-eligible"),
+])
+def test_haar_atom_ineligible_rectangle_exit_1(capsys, rectangle, message):
+    from dyadichardy import cli
+    code = cli.main(["generate", "--kind", "haar-atom", "--grid", GRID_1D,
+                     "--params", json.dumps({"rectangle": rectangle})])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_generate_calls_the_module_name_at_call_time(monkeypatch):
+    # A rebound module name (as a tracer installs) sees every generate call.
+    from dyadichardy import ProductGrid, generators
+    calls = []
+    original = generators.constant
+    monkeypatch.setattr(generators, "constant", lambda *a, **k: calls.append(1) or original(*a, **k))
+    f = generators.generate("constant", ProductGrid((1,), (2,)), {"value": 2.0})
+    assert calls == [1] and f.values.tolist() == [2.0, 2.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+@pytest.mark.parametrize("check", ["lemma-a", "split", "lemma-b", "abs-bmo"])
+def test_verify_fewer_than_one_trial_exit_1(capsys, check, trials):
+    code, out = _main_stdout(capsys, ["verify", check, "--trials", trials])
+    assert (code, out) == (1, "")
