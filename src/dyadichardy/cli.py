@@ -5,9 +5,10 @@ Exit codes: 0 pass, 1 usage/IO/schema error, 2 inequality or numerical
 failure, 3 resource cap exceeded.  Reports are deterministic for a fixed
 spec and seed; wall-clock metadata goes to stderr, never into a report.
 
-Each command is one handler whose keyword parameters are both the flags it
-takes and the spec parameters it honours: flags and `run --spec` build the
-same objects and call the same handler.
+Each (command, subcommand) pair is one handler whose keyword parameters are
+both the flags it takes and the spec parameters it honours: flags and
+`run --spec` build the same objects, pass one check (`_bind`) and call the
+same handler.  An option the handler does not take exits 1.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .grid import (
 from .martingale import decompose, decomposition_to_dict, reconstruct
 from .maximal import TauParams, check_a1 as a1_constant, iterate_maximal, tau_build
 from .norms import (
-    DEFAULT_EXACT_CAP,
     bmo_d_norm_cut,
     bmo_d_norm_exact,
     h1_norm,
@@ -207,8 +207,8 @@ def _emit(report, output=None, format="json") -> None:
 
 # ---------------------------------------------------------------- subcommands
 # `seed`, like --seed, is read by generate and the randomized verify checks;
-# norms accepts it and `restarts` unused; the theorem demo, decompose,
-# maximal and tau reject it.
+# `norms bmo-dyadic` accepts it and `restarts` unused, as the benchmark still
+# passes them.  Every other handler refuses it.
 
 def cmd_generate(*, kind, grid, params=None, seed=None):
     params = json.loads(params) if params else {}
@@ -225,29 +225,33 @@ def cmd_decompose(*, f):
     return report
 
 
-def cmd_norms(quantity, *, f, exact=False, restarts=12, cap=None, cap_cells=DEFAULT_EXACT_CAP,
-              shift=None, p=2, rect_class="aligned", include_mean=False, seed=None):
-    """`restarts` is accepted and unused: no engine behind bmo-dyadic is random."""
-    if quantity == "sf":
-        sf = square_function(f)
-        return {"value": float(sf.integral()), "witness": sf.to_dict(),
-                "mode": "exact", "diagnostics": {}}
-    if quantity == "h1":
-        return {"value": h1_norm(f, include_mean=include_mean),
-                "witness": None, "mode": "exact",
-                "diagnostics": {"include_mean": include_mean}}
-    if quantity == "bmo-little":
-        res = little_bmo_norm(f, p=p, rect_class=rect_class)
-        return {"value": res.value, "witness": res.witness, "mode": "exact",
-                "diagnostics": {"p": res.p, "rect_class": res.rect_class}}
-    if quantity != "bmo-dyadic":
-        raise GridError(f"unknown norms quantity {quantity!r}")
+def cmd_norms_sf(*, f):
+    sf = square_function(f)
+    return {"value": float(sf.integral()), "witness": sf.to_dict(),
+            "mode": "exact", "diagnostics": {}}
+
+
+def cmd_norms_h1(*, f, include_mean=False):
+    return {"value": h1_norm(f, include_mean=include_mean),
+            "witness": None, "mode": "exact",
+            "diagnostics": {"include_mean": include_mean}}
+
+
+def cmd_norms_bmo_little(*, f, p=2, rect_class="aligned"):
+    res = little_bmo_norm(f, p=p, rect_class=rect_class)
+    return {"value": res.value, "witness": res.witness, "mode": "exact",
+            "diagnostics": {"p": res.p, "rect_class": res.rect_class}}
+
+
+def cmd_norms_bmo_dyadic(*, f, exact=False, cap=None, shift=None, restarts=None, seed=None):
+    """`restarts` and `seed` are accepted and unused: no engine behind
+    bmo-dyadic is random, but the benchmark still passes both."""
     if shift is not None:
         if exact:
             raise GridError("--shift runs the min-cut engine; drop --exact")
         res = shifted_packing(f, shift, alpha=cap)
     elif exact:
-        res = bmo_d_norm_exact(f, cap_cells=cap_cells, alpha=cap)
+        res = bmo_d_norm_exact(f, alpha=cap)
     else:
         res = bmo_d_norm_cut(f, alpha=cap)
     return {"value": res.value, "witness": res.witness, "mode": res.mode,
@@ -268,12 +272,6 @@ def cmd_tau(*, E, delta, c=None, tol=TauParams.tol, kmax=TauParams.kmax):
 
 
 # ------------------------------------------------------------- verify runners
-
-def _config_grid(config: dict, default: ProductGrid) -> ProductGrid:
-    if "grid" in config:
-        return ProductGrid.from_dict(config["grid"])
-    return default
-
 
 def _random_function(grid: ProductGrid, rng) -> GridFunction:
     return GridFunction(grid, rng.uniform(-1.0, 1.0, size=grid.shape))
@@ -325,58 +323,95 @@ _CHECKS = {
 }
 
 
-def _theorem_config(config) -> TheoremRunConfig:
-    grid = _config_grid(config, ProductGrid((1, 1), (5, 5)))
-    params = config.get("parameters", {})
-    return TheoremRunConfig(grid=grid, **{name: params[name] for name in CONFIG_KEYS
-                                          if name in params})
-
-
-def cmd_verify(check, *, config=None, trials=None, seed=None):
-    """Report lines: one per trial (per horizon step for the theorem), then
-    {"summary": ...}."""
-    config = config or {}
-    params = config.get("parameters", {})
-    if check == "theorem":
-        if trials is not None or "trials" in params:
-            raise GridError("the theorem demo runs once and takes no --trials "
-                            "(spec key parameters.trials)")
-        if seed is not None or "seed" in params:
-            raise GridError("the theorem demo draws no random numbers and takes no --seed "
-                            "(spec key parameters.seed)")
-        run_config = _theorem_config(config)
-        report = verify_mod.theorem_demo(run_config)
-        final = report["records"][-1]
-        if run_config.generator == "h1-bounded":
-            ok = final["gap"] < run_config.epsilon
-        else:
-            ok = final["gap"] >= 0.9 * abs(report["phi_at_x0"])
-        summary = {k: v for k, v in report.items() if k != "records"}
-        summary["passed"] = ok
-        return [*report["records"], {"summary": summary}]
+def cmd_verify_check(check, *, config, trials=20, seed=0):
+    """Report lines: one per trial, then {"summary": ...}.  Of the run
+    configuration a check reads the grid and `alpha`; lemma-a and abs-bmo
+    accept `alpha` unused, as the benchmark's configs still set it."""
+    params = config["parameters"]
+    for key in sorted(params.keys() - {"alpha"}):
+        raise _refusal(f"verify {check}", key)
     run_trial, depth, verdict = _CHECKS[check]
-    grid = _config_grid(config, ProductGrid((1, 1), (depth, depth)))
-    alpha = params.get("alpha", 0.25)
-    trials = params.get("trials", 20) if trials is None else trials
-    seed = params.get("seed", 0) if seed is None else seed
+    grid = ProductGrid.from_dict(config["grid"]) if "grid" in config else ProductGrid(
+        (1, 1), (depth, depth))
     if trials < 1:
         raise GridError(f"{check} needs at least one trial, not {trials}")
     rng = np.random.default_rng(seed)
+    alpha = params.get("alpha", 0.25)
     reports = [dict(run_trial(grid, rng, alpha), trial=t) for t in range(trials)]
     summary = {"check": check, "trials": trials, "seed": seed,
                "passed": all(r[verdict] for r in reports)}
     return [*reports, {"summary": summary}]
 
 
+def cmd_theorem(*, config):
+    """`verify theorem` and `demo`: report lines, one per horizon step, then
+    {"summary": ...}.  The demo runs once and draws no random numbers, so it
+    takes no trials and no seed."""
+    grid = ProductGrid.from_dict(config["grid"]) if "grid" in config else ProductGrid(
+        (1, 1), (5, 5))
+    run_config = TheoremRunConfig(grid=grid, **config["parameters"])
+    report = verify_mod.theorem_demo(run_config)
+    records = report.pop("records")
+    gap = records[-1]["gap"]
+    ok = (gap < run_config.epsilon if run_config.generator == "h1-bounded"
+          else gap >= 0.9 * abs(report["phi_at_x0"]))
+    return [*records, {"summary": dict(report, passed=ok)}]
+
+
 COMMANDS = {
-    "generate": cmd_generate,
-    "decompose": cmd_decompose,
-    "norms": cmd_norms,
-    "maximal": cmd_maximal,
-    "tau": cmd_tau,
-    "verify": cmd_verify,
-    "demo": functools.partial(cmd_verify, "theorem"),
+    ("generate", None): cmd_generate,
+    ("decompose", None): cmd_decompose,
+    ("norms", "sf"): cmd_norms_sf,
+    ("norms", "h1"): cmd_norms_h1,
+    ("norms", "bmo-little"): cmd_norms_bmo_little,
+    ("norms", "bmo-dyadic"): cmd_norms_bmo_dyadic,
+    ("maximal", None): cmd_maximal,
+    ("tau", None): cmd_tau,
+    **{("verify", check): functools.partial(cmd_verify_check, check) for check in _CHECKS},
+    ("verify", "theorem"): cmd_theorem,
+    ("demo", None): cmd_theorem,
 }
+
+
+# ---------------------------------------------------------------- binding
+
+def _refusal(what: str, name: str) -> GridError:
+    """The error for an option `what` does not take: its flag, if it is one,
+    and its spec key."""
+    key = f"inputs.{name}" if name in ("f", "E") else f"parameters.{name}"
+    if any(name in inspect.signature(h).parameters for h in COMMANDS.values()):
+        flag = {"f": "--input", "E": "--set"}.get(name, "--" + name.replace("_", "-"))
+        key = f"{flag} (spec key {key})"
+    return GridError(f"{what} does not take {key}")
+
+
+def _bind(key: tuple, options: dict):
+    """The handler of a (command, subcommand) pair, checked against the
+    options for it: the flags given, or a spec's.  An option the handler
+    does not take, or a missing one it needs, is an error."""
+    what = " ".join(filter(None, key))
+    if key not in COMMANDS:
+        raise GridError(f"no handler for {what!r}; check the spec's subcommand")
+    signature = inspect.signature(COMMANDS[key])
+    for name in sorted(options.keys() - signature.parameters.keys()):
+        raise _refusal(what, name)
+    try:
+        signature.bind(**options)
+    except TypeError as exc:
+        raise GridError(f"{what}: {exc}") from None
+    return COMMANDS[key]
+
+
+def _with_config(source: dict, options: dict) -> dict:
+    """`options` plus the run configuration of `verify` or `demo` as `config`:
+    the grid and CONFIG_KEYS parameters of a --config file or a spec.  Its
+    other parameters are options, as the flags are, where `options` lacks them."""
+    params = source.get("parameters", {})
+    config = {"parameters": {k: v for k, v in params.items() if k in CONFIG_KEYS}}
+    if "grid" in source:
+        config["grid"] = source["grid"]
+    return {**{k: v for k, v in params.items() if k not in CONFIG_KEYS}, **options,
+            "config": config}
 
 
 # ------------------------------------------------------------------ run --spec
@@ -384,7 +419,7 @@ COMMANDS = {
 def _spec_input(name: str, entry: dict, grid: ProductGrid | None):
     """A spec input, read from its file or generated on the spec's grid,
     built by the same from_dict as the value of its flag."""
-    if name not in _FROM_DICT:
+    if name not in ("f", "E"):
         raise GridError(f"spec key inputs.{name} names no input")
     if "path" in entry:
         data = _load_json_file(entry["path"])
@@ -398,39 +433,20 @@ def _spec_input(name: str, entry: dict, grid: ProductGrid | None):
 
 
 def _spec_call(spec):
-    """The handler a spec names, its keyword arguments and output options.
-
-    A key the handler does not take is an error, never silently dropped."""
+    """The (command, subcommand) a spec names, its options and its output
+    options."""
     _validate(spec, "spec")
     command = spec["command"]
-    handler = COMMANDS[command]
     grid = ProductGrid.from_dict(spec["grid"]) if "grid" in spec else None
-    params = dict(spec.get("parameters", {}))
-    named = []  # (spec key, handler parameter, value)
+    options = dict(spec.get("parameters", {}))
     if command in ("verify", "demo"):
-        config = {"parameters": {k: params.pop(k) for k in CONFIG_KEYS if k in params}}
-        if grid is not None:
-            config["grid"] = spec["grid"]
-        named.append(("grid", "config", config))
+        options = _with_config(spec, {})
     elif command == "generate" and grid is not None:
-        named.append(("grid", "grid", grid))
-    named += [(f"parameters.{k}", k, v) for k, v in params.items()]
-    named += [(f"inputs.{k}", k, _spec_input(k, entry, grid))
-              for k, entry in spec.get("inputs", {}).items()]
-    signature = inspect.signature(handler)
-    kwargs = {}
-    for key, name, value in named:
-        if name not in signature.parameters or name in kwargs:
-            raise GridError(f"{command} does not take the spec key {key}")
-        kwargs[name] = value
-    try:
-        positional = [spec["subcommand"]] if "subcommand" in spec else []
-        bound = signature.bind(*positional, **kwargs)
-    except TypeError as exc:
-        raise GridError(f"spec does not fit {command}: {exc}") from None
+        options["grid"] = grid
+    options.update((k, _spec_input(k, entry, grid)) for k, entry in spec.get("inputs", {}).items())
     output = spec.get("output", {})
-    return handler, bound.arguments, {"output": output.get("path"),
-                                      "format": output.get("format", "json")}
+    return (command, spec.get("subcommand")), options, {
+        "output": output.get("path"), "format": output.get("format", "json")}
 
 
 # -------------------------------------------------------------------- parser
@@ -472,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=False)
 
     p = command("norms", "norm engines")
-    p.add_argument("quantity", choices=["sf", "h1", "bmo-little", "bmo-dyadic"])
+    p.add_argument("subcommand", choices=["sf", "h1", "bmo-little", "bmo-dyadic"])
     p.add_argument("--input", dest="f", metavar="INPUT", required=True)
     p.add_argument("--exact", action="store_true",
                    help="bmo-dyadic by the bit-mask oracle (cell-capped; "
@@ -481,8 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility and unused, like --seed here: "
                         "bmo-dyadic has no random engine")
     p.add_argument("--cap", type=float, help="rectangle size cap alpha")
-    p.add_argument("--cap-cells", type=int,
-                   help="exact-oracle cell cap override (applies only with --exact)")
     p.add_argument("--shift", type=lambda s: [int(x) for x in s.split(",")],
                    help="comma-separated whole-cell lattice shift per axis "
                         "(min-cut engine only)")
@@ -512,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = command(name, help_text)
         if name == "verify":
-            p.add_argument("check", choices=[*_CHECKS, "theorem"])
+            p.add_argument("subcommand", choices=[*_CHECKS, "theorem"])
         p.add_argument("--config", help="run configuration JSON")
         p.add_argument("--trials", type=int)
         _add_common(p)
@@ -531,14 +545,16 @@ def main(argv=None) -> int:
     try:
         command = args.pop("command")
         if command == "run":
-            handler, args, out = _spec_call(_load_json_file(args["spec"]))
+            key, args, out = _spec_call(_load_json_file(args["spec"]))
         else:
-            handler = COMMANDS[command]
-            out = {key: args.pop(key) for key in ("output", "format") if key in args}
+            key = command, args.pop("subcommand", None)
+            out = {name: args.pop(name) for name in ("output", "format") if name in args}
             for name, from_dict in _FROM_DICT.items():
                 if name in args:
                     args[name] = from_dict(_read_json(args[name]))
-        report = handler(**args)
+            if command in ("verify", "demo"):  # a config's trials and seed yield to flags
+                args = _with_config(args.get("config", {}), args)
+        report = _bind(key, args)(**args)
         _emit(report, **out)
         if isinstance(report, list) and not report[-1]["summary"]["passed"]:
             return EXIT_FAIL

@@ -119,23 +119,14 @@ def smooth_bump(
 
 
 def _spike_axis_halvings(grid: ProductGrid, n: int) -> list:
-    """Distribute n support halvings cyclically over axes (capped at J-1 each)."""
-    axes = len(grid.shape)
+    """Halvings per axis for n support halvings dealt round-robin over the
+    axes, each axis capped at J-1: round r halves every axis whose cap
+    exceeds r, and the first n of those halvings are taken."""
     caps = [grid.depths[i] - 1 for i in range(grid.d) for _ in range(grid.factor_dims[i])]
-    halvings = [0] * axes
-    remaining = n
-    while remaining > 0:
-        progressed = False
-        for a in range(axes):
-            if remaining == 0:
-                break
-            if halvings[a] < caps[a]:
-                halvings[a] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            raise GridError(f"spike support cannot shrink {n} times on this grid")
-    return halvings
+    order = [a for r in range(max(caps)) for a, cap in enumerate(caps) if r < cap]
+    if n > len(order):
+        raise GridError(f"spike support cannot shrink {n} times on this grid")
+    return [order[:n].count(a) for a in range(len(caps))]
 
 
 def spike_sequence(

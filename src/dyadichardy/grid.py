@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,8 +197,14 @@ class OpenSetMask:
 
     @classmethod
     def from_cell_indices(cls, grid: ProductGrid, indices) -> "OpenSetMask":
-        flat = np.zeros(grid.cell_count, dtype=bool)
-        flat[np.asarray(list(indices), dtype=int)] = True
+        """The mask of the cells at these C-order indices; GridError unless
+        each is an integer (a bool is not) from 0 to cell_count - 1."""
+        indices, n = list(indices), grid.cell_count
+        for i in indices:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < n:
+                raise GridError(f"cell index {i!r} is not an integer from 0 to {n - 1}")
+        flat = np.zeros(n, dtype=bool)
+        flat[indices] = True
         return cls(grid, flat.reshape(grid.shape))
 
     @property
@@ -496,13 +503,11 @@ def _factor_cubes(grid: ProductGrid, i: int, levels) -> list:
     return out
 
 
-def enumerate_rectangles(grid: ProductGrid, max_count: int = DEFAULT_RECTANGLE_CAP) -> RectangleFamily:
+def enumerate_rectangles(grid: ProductGrid) -> RectangleFamily:
     """All Delta-eligible rectangles (per-factor cube levels in 0..J_i-1)."""
     count = eligible_rectangle_count(grid)
-    if count > max_count:
-        raise ResourceCapError(
-            f"{count} rectangles exceed the cap of {max_count}; raise max_count if intended"
-        )
+    if count > DEFAULT_RECTANGLE_CAP:
+        raise ResourceCapError(f"{count} rectangles exceed the cap of {DEFAULT_RECTANGLE_CAP}")
     return RectangleFamily._from_mask(grid, np.ones(_table_shape(grid), dtype=bool))
 
 

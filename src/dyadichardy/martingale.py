@@ -238,20 +238,16 @@ def _hybrids(values: np.ndarray, grid: ProductGrid) -> dict:
     }
 
 
-def decompose(
-    f: GridFunction,
-    prune_tol: float = PRUNE_TOL,
-    max_rectangles: int = DEFAULT_RECTANGLE_CAP,
-) -> Decomposition:
+def decompose(f: GridFunction) -> Decomposition:
     """Full orthogonal decomposition of f: pure Delta_R part and hybrids.
 
-    Blocks with max |value| <= prune_tol are not kept (object dtype: all kept).
+    Blocks with max |value| <= PRUNE_TOL are not kept (object dtype: all kept).
     """
     grid = f.grid
-    if eligible_rectangle_count(grid) > max_rectangles:
+    if eligible_rectangle_count(grid) > DEFAULT_RECTANGLE_CAP:
         raise ResourceCapError(
             f"decomposition needs {eligible_rectangle_count(grid)} rectangles "
-            f"(cap {max_rectangles})"
+            f"(cap {DEFAULT_RECTANGLE_CAP})"
         )
     n = grid.n
     blocks = {lv: _blocks(child, [s // 2 for s in child.shape])
@@ -262,7 +258,7 @@ def decompose(
         keep = np.ones(len(flat), dtype=bool)
     else:
         # max |value| per R, one child column at a time (long strided loops).
-        keep = ~(functools.reduce(np.maximum, map(np.abs, flat.T)) <= prune_tol)
+        keep = ~(functools.reduce(np.maximum, map(np.abs, flat.T)) <= PRUNE_TOL)
         flat[~keep] = 0.0
     coefficients, kept, start = {}, {}, 0
     for lv, b in blocks.items():

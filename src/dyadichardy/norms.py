@@ -4,9 +4,9 @@ The packing norm is a supremum of set functions over all unions of
 finest cells.  Three engines are provided: the exact min-cut engine
 (Dinkelbach iteration over maximum-weight closures on the dyadic box
 graph, with exact integer capacities; the default), an exact bit-mask
-enumeration (feasible up to a configured cell cap, default 22; the test
-oracle), and a seeded greedy local search.  Each reports the recomputed
-ratio of its witness; the search's is a certified lower bound.
+enumeration (grids of at most 16 cells; the test oracle), and a seeded
+greedy local search.  Each reports the recomputed ratio of its witness;
+the search's is a certified lower bound.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from .martingale import _add_refined, _haar_table, _LevelView
 from .windows import (BLOCK, AlignedBox, axis_sides, iter_last_factor_means, iter_shapes,
                       iter_window_sums)
 
-DEFAULT_EXACT_CAP = 22
 # The bit-mask oracle visits every mask once, EXACT_BLOCK masks at a time in
-# buffers it reuses, so its memory stays small; the cap below bounds its work,
-# counted as the bytes an all-at-once table would take (48 per mask).
-EXACT_BYTES_PER_MASK = 48
-EXACT_MEMORY_CAP = 2 ** 30
+# buffers it reuses, so its memory stays small; its cell cap bounds its work.
+# Cell counts are powers of two, so the cap admits 2^16 masks and no more.
+EXACT_CELL_CAP = 16
 EXACT_BLOCK = 1 << 14
 # The cut engine refuses grids with more dyadic boxes than this.  Its graph,
 # flow and recomputed witness ratio grew the peak RSS by 0.9-1.3 KB per box
@@ -246,26 +244,19 @@ def _rect_data(f: GridFunction, alpha: float | None = None):
     return np.concatenate(measures), np.concatenate(energies), cells
 
 
-def bmo_d_norm_exact(
-    f: GridFunction, cap_cells: int = DEFAULT_EXACT_CAP, alpha: float | None = None
-) -> PackingResult:
+def bmo_d_norm_exact(f: GridFunction, alpha: float | None = None) -> PackingResult:
     """Exact max over all nonempty cell masks of packing energy / measure.
 
-    Enumerates all 2^M - 1 masks; ties broken by smallest mask, then by
-    canonical (integer) mask order.  `alpha` restricts to |R| <= alpha.
+    Enumerates all 2^M - 1 masks of a grid of at most EXACT_CELL_CAP cells;
+    ties broken by smallest mask, then by canonical (integer) mask order.
+    `alpha` restricts to |R| <= alpha.
     """
     grid = f.grid
     m_cells = grid.cell_count
-    if m_cells > cap_cells:
+    if m_cells > EXACT_CELL_CAP:
         raise ResourceCapError(
-            f"{m_cells} cells exceed the exact-oracle cap of {cap_cells}; "
-            "use bmo_d_norm_search"
-        )
-    if 2 ** m_cells * EXACT_BYTES_PER_MASK > EXACT_MEMORY_CAP:
-        raise ResourceCapError(
-            f"the exact oracle on {m_cells} cells needs 2^{m_cells} masks of about "
-            f"{EXACT_BYTES_PER_MASK} bytes each, over its {EXACT_MEMORY_CAP >> 20} MiB "
-            "limit; use bmo_d_norm_search"
+            f"{m_cells} cells exceed the exact oracle's cap of {EXACT_CELL_CAP}; the "
+            "default min-cut engine (bmo_d_norm_cut; bmo-dyadic without --exact) is exact"
         )
     _, energies, cells = _rect_data(f, alpha)
     rmasks = [int((1 << cell_idx).sum()) for cell_idx in cells]

@@ -6,8 +6,8 @@ maximal iterate, the interval kernel that ran the suffix max over
 every start/end pair, the window walk that took every factor before the
 last one side at a time, the rectangle-family operations that built
 one `DyadicRectangle` at a time and called `delta_R` per member, and the
-bit-mask packing oracle that held every mask's ratio at once; and the
-expectation operator, the mask slice and the literal strong maximal
+bit-mask packing oracle that held every mask's ratio at once, the round
+loop that dealt a spike's halvings over its axes; and the expectation operator, the mask slice and the literal strong maximal
 function, which the package itself does not need."""
 
 import itertools
@@ -440,3 +440,23 @@ def exact_mask_ratios(f, alpha=None):
         np.add(acc, e, out=acc, where=(masks & rmask) == rmask)
     sizes = np.array([bin(m).count("1") for m in masks.tolist()])
     return masks, sizes, acc / (sizes * grid.cell_volume)
+
+
+def spike_axis_halvings_loop(grid, n):
+    """The round loop that dealt n support halvings over the axes, one per
+    axis below its cap J-1 per round, before the list of rounds replaced it."""
+    caps = [grid.depths[i] - 1 for i in range(grid.d) for _ in range(grid.factor_dims[i])]
+    halvings = [0] * len(caps)
+    remaining = n
+    while remaining > 0:
+        progressed = False
+        for a in range(len(caps)):
+            if remaining == 0:
+                break
+            if halvings[a] < caps[a]:
+                halvings[a] += 1
+                remaining -= 1
+                progressed = True
+        if not progressed:
+            raise GridError(f"spike support cannot shrink {n} times on this grid")
+    return halvings

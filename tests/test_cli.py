@@ -72,12 +72,12 @@ def test_bmo_dyadic_cap_exit_3(tmp_path):
     assert "cap" in res.stderr
 
 
-def test_cap_cells_flag_override(atom_path):
-    # 4-cell input passes even with a 4-cell cap, fails with a 3-cell cap
-    assert run_cli(["norms", "bmo-dyadic", "--input", atom_path, "--exact",
-                    "--cap-cells", "4"]).returncode == 0
-    assert run_cli(["norms", "bmo-dyadic", "--input", atom_path, "--exact",
-                    "--cap-cells", "3"]).returncode == 3
+def test_cap_cells_flag_exit_1(atom_path, capsys):
+    # The oracle has one fixed cell cap: --cap-cells is no flag of any quantity.
+    for quantity in ("sf", "h1", "bmo-little", "bmo-dyadic"):
+        code, out = _main_stdout(capsys, ["norms", quantity, "--input", atom_path,
+                                          "--cap-cells", "4"])
+        assert (code, out) == (1, "")
 
 
 def test_tau_report(tmp_path):
@@ -253,17 +253,16 @@ def test_non_finite_input_exit_1(tmp_path, bad, quantity):
     assert res.stdout == ""
 
 
-def test_bmo_dyadic_exact_memory_cap_exit_3(tmp_path):
-    # A 32-cell grid passes a raised cell cap, but its 2^32-mask table would
-    # need tens of GiB: the oracle refuses before allocating.
+def test_bmo_dyadic_exact_cell_cap_exit_3(tmp_path):
+    # The oracle's one cap is 16 cells: a 32-cell grid exits 3 before any
+    # work, and the error names the engine that runs there.
     f = tmp_path / "f32.json"
     assert run_cli(["generate", "--kind", "random-uniform",
                     "--grid", '{"factor_dims":[1],"depths":[5]}',
                     "--output", str(f)]).returncode == 0
-    res = run_cli(["norms", "bmo-dyadic", "--input", str(f), "--exact",
-                   "--cap-cells", "64"])
-    assert res.returncode == 3
-    assert "masks" in res.stderr
+    res = run_cli(["norms", "bmo-dyadic", "--input", str(f), "--exact"])
+    assert (res.returncode, res.stdout) == (3, "")
+    assert "cap" in res.stderr and "min-cut" in res.stderr
 
 
 def _main_stdout(capsys, argv):
@@ -651,10 +650,13 @@ def _schema_parameters():
 # One schema-valid value per spec parameter; a new schema key needs one here.
 PARAMETER_VALUES = {
     "alpha": 0.25, "delta": 0.5, "eta": 0.01, "epsilon": 0.01, "c": 0.5, "tol": 1e-6,
-    "kmax": 30, "p": 1, "restarts": 3, "cap_cells": 64, "cap": 0.25, "trials": 2,
+    "kmax": 30, "p": 1, "restarts": 3, "cap": 0.25, "trials": 2,
     "seed": 3, "iter": 2, "shift": [1, 1], "horizon": 1, "generator": "l1-spike",
     "exact": True, "rect_class": "dyadic", "include_mean": True, "kind": "constant",
 }
+# Spec parameters the schema no longer has, with a value a spec once gave
+# them: every command now refuses each at the schema gate.
+REMOVED_PARAMETERS = {"cap_cells": 64}
 SPEC_TARGETS = [
     ("generate", None), ("decompose", None), ("norms", "sf"), ("norms", "h1"),
     ("norms", "bmo-little"), ("norms", "bmo-dyadic"), ("maximal", None), ("tau", None),
@@ -696,7 +698,7 @@ def _spec_and_flags(tmp_path, command, sub, key):
         path = _write_function(tmp_path, (1, 1), (2, 2), 1)
         spec["inputs"] = {"f": {"path": path}}
         argv += ["--input", path]
-    params[key] = PARAMETER_VALUES[key]
+    params[key] = {**PARAMETER_VALUES, **REMOVED_PARAMETERS}[key]
     spec["parameters"] = params
     if command in ("verify", "demo"):
         config = tmp_path / "config.json"
@@ -711,14 +713,16 @@ def _spec_and_flags(tmp_path, command, sub, key):
     return str(path), argv
 
 
-@pytest.mark.parametrize("key", _schema_parameters())
+@pytest.mark.parametrize("key", _schema_parameters() + sorted(REMOVED_PARAMETERS))
 @pytest.mark.parametrize("command, sub", SPEC_TARGETS)
 def test_every_spec_parameter_is_honoured_or_rejected(tmp_path, capsys, command, sub, key):
     from dyadichardy import cli
     spec, argv = _spec_and_flags(tmp_path, command, sub, key)
     code = cli.main(["run", "--spec", spec])
     out, err = capsys.readouterr()
-    if code == 1:
+    if key in REMOVED_PARAMETERS:
+        assert (code, out) == (1, "") and f"'{key}' was unexpected" in err
+    elif code == 1:
         assert out == "" and f"parameters.{key}" in err
     else:
         assert (code, out) == _main_stdout(capsys, argv)
@@ -779,7 +783,7 @@ PINNED_HELP_DIGESTS = {
     "": "c30e9ce7c7a874c0d441c64ca9cbc01c48f3764603d0e95c3cb078a40a586c0d",
     "generate": "76ba11eecb0335a5578a794a2ff36f4d20a3d8e463ee956a921bb8f38ee40a1c",
     "decompose": "24cbf95bf88d3425b91c25eb14c3eee3a3ca1ce903cf14b1b21ad95676d97b9f",
-    "norms": "e9be647dfe27774985e47e47489c116cb010a448fcfe5202db06ff2da9c397e7",
+    "norms": "711164804d3318fad4b669aaa60212d7c4c549bbf587d68308f506f7dfb91b65",
     "maximal": "831dfaa8ef2c038aee070914577eb6099b610f49b89b95a5e45cb6ac8566f72a",
     "tau": "3bda5c908872d85701aa2e8b7a349a56d111a1b56ce742275e5c64436022e8f9",
     "verify": "ea192fce1f949bc2485b1860afe59489c4a8999afd68b14b7c8c33299c986512",
@@ -1017,3 +1021,76 @@ def test_generate_calls_the_module_name_at_call_time(monkeypatch):
 def test_verify_fewer_than_one_trial_exit_1(capsys, check, trials):
     code, out = _main_stdout(capsys, ["verify", check, "--trials", trials])
     assert (code, out) == (1, "")
+
+
+# Each norms option: its flags, and the quantities that take it.  `restarts`
+# and `seed` are taken, unused, by bmo-dyadic alone.
+NORMS_OPTIONS = {
+    "exact": (["--exact"], {"bmo-dyadic"}),
+    "restarts": (["--restarts", "3"], {"bmo-dyadic"}),
+    "cap": (["--cap", "0.25"], {"bmo-dyadic"}),
+    "shift": (["--shift", "1,1"], {"bmo-dyadic"}),
+    "seed": (["--seed", "3"], {"bmo-dyadic"}),
+    "p": (["--p", "1"], {"bmo-little"}),
+    "rect_class": (["--rect-class", "dyadic"], {"bmo-little"}),
+    "include_mean": (["--include-mean"], {"h1"}),
+}
+
+
+@pytest.mark.parametrize("quantity, key", [
+    (quantity, key) for key, (_, takes) in NORMS_OPTIONS.items()
+    for quantity in ("sf", "h1", "bmo-little", "bmo-dyadic") if quantity not in takes])
+def test_norms_option_not_taken_exit_1(tmp_path, capsys, quantity, key):
+    # A quantity refuses every option it does not read, as flag and as spec
+    # key, and the error names both.
+    from dyadichardy import cli
+    flags, _ = NORMS_OPTIONS[key]
+    path = _write_function(tmp_path, (1, 1), (2, 2), 0)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"schema": "experiment-v1", "command": "norms",
+                                "subcommand": quantity, "inputs": {"f": {"path": path}},
+                                "parameters": {key: PARAMETER_VALUES[key]}}))
+    for argv in (["norms", quantity, "--input", path, *flags], ["run", "--spec", str(spec)]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"norms {quantity} does not take {flags[0]} (spec key parameters.{key})" in err
+
+
+@pytest.mark.parametrize("key", ["horizon", "epsilon"])
+@pytest.mark.parametrize("check", ["lemma-a", "split", "lemma-b", "abs-bmo"])
+def test_randomized_check_refuses_theorem_config_keys(tmp_path, capsys, check, key):
+    # The randomized checks read a config's grid and alpha only; the theorem
+    # demo's other run-configuration keys exit 1, from a --config or a spec.
+    from dyadichardy import cli
+    config, spec = tmp_path / "config.json", tmp_path / "spec.json"
+    config.write_text(json.dumps({"parameters": {key: PARAMETER_VALUES[key]}}))
+    spec.write_text(json.dumps({"schema": "experiment-v1", "command": "verify",
+                                "subcommand": check,
+                                "parameters": {"trials": 1, key: PARAMETER_VALUES[key]}}))
+    for argv in (["verify", check, "--config", str(config), "--trials", "1"],
+                 ["run", "--spec", str(spec)]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"verify {check} does not take parameters.{key}" in err
+
+
+@pytest.mark.parametrize("cells", [[1.5], [True], [-1], [4]],
+                         ids=["float", "bool", "negative", "out-of-range"])
+def test_cell_mask_bad_index_exit_1(tmp_path, capsys, cells):
+    # On a 4-cell grid these marked cell 1, cell 1, cell 3 and raised an
+    # IndexError; through generate, a --set file and a spec they now exit 1.
+    from dyadichardy import cli
+    grid = {"factor_dims": [1], "depths": [2]}
+    mask, spec = tmp_path / "E.json", tmp_path / "spec.json"
+    mask.write_text(json.dumps({"grid": grid, "cells": cells}))
+    spec.write_text(json.dumps({"schema": "experiment-v1", "command": "tau", "grid": grid,
+                                "inputs": {"E": {"kind": "cell-mask", "params": {"cells": cells}}},
+                                "parameters": {"delta": 0.5}}))
+    for argv in (["generate", "--kind", "cell-mask", "--grid", json.dumps(grid),
+                  "--params", json.dumps({"cells": cells})],
+                 ["tau", "--set", str(mask), "--delta", "0.5"],
+                 ["run", "--spec", str(spec)]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"cell index {cells[0]!r}" in err

@@ -83,9 +83,19 @@ def test_enumerate_counts():
         assert len(enumerate_rectangles(g)) == eligible_rectangle_count(g)
 
 
+def test_from_cell_indices_refuses_bad_indices():
+    g = ProductGrid((1,), (2,))
+    assert OpenSetMask.from_cell_indices(g, np.array([1, 3])).cell_indices().tolist() == [1, 3]
+    assert OpenSetMask.from_cell_indices(g, []).is_empty
+    for bad in ([1.5], [True], [np.bool_(True)], [-1], [4], [np.int64(4)], [0, "1"]):
+        with pytest.raises(GridError, match="cell index"):
+            OpenSetMask.from_cell_indices(g, bad)
+
+
 def test_enumerate_cap():
+    # (1,1)x(9,9) has 511^2 = 261 121 eligible rectangles, over the 250 000 cap.
     with pytest.raises(ResourceCapError):
-        enumerate_rectangles(ProductGrid((1, 1), (8, 8)), max_count=100)
+        enumerate_rectangles(ProductGrid((1, 1), (9, 9)))
 
 
 def test_rectangle_measure_multiplicative():

@@ -28,7 +28,7 @@ from dyadichardy import (
     square_function,
 )
 from dyadichardy import generators
-from dyadichardy.norms import _oscillations
+from dyadichardy.norms import EXACT_CELL_CAP, _oscillations
 from dyadichardy.windows import AlignedBox
 from oracles import exact_mask_ratios, little_bmo_oracle, oracle_data, tied_inputs
 
@@ -362,11 +362,14 @@ def test_bmo_d_exact_haar_atom_witness():
 
 
 def test_bmo_d_exact_cap():
-    g = ProductGrid((1, 1), (3, 2))  # 32 cells
-    with pytest.raises(ResourceCapError):
-        bmo_d_norm_exact(random_function(g, 0))
-    with pytest.raises(ResourceCapError):
-        bmo_d_norm_exact(random_function(g, 0), cap_cells=31)
+    # One cap of 16 cells: 16 run, 32 (the next power of two) are refused
+    # before any work, with the engine that runs there named.
+    assert EXACT_CELL_CAP == 16
+    assert bmo_d_norm_exact(random_function(ProductGrid((1,), (4,)), 0)).diagnostics[
+        "masks_enumerated"] == 2 ** 16 - 1
+    for g in (ProductGrid((1, 1), (3, 2)), ProductGrid((1,), (5,))):
+        with pytest.raises(ResourceCapError, match="bmo_d_norm_cut"):
+            bmo_d_norm_exact(random_function(g, 0))
 
 
 def test_bmo_d_search_matches_exact():
@@ -753,14 +756,6 @@ def test_square_function_and_energies_golden_digests():
             hashlib.sha256(repr(energies).encode()).hexdigest(),
         )
         assert got == digests, key
-
-
-def test_bmo_d_exact_refuses_oversized_mask_table():
-    # 32 cells would need 2^32 masks (tens of GiB); a raised cell cap does not
-    # lift the memory limit.
-    f = generators.random_uniform(ProductGrid((1,), (5,)), seed=0)
-    with pytest.raises(ResourceCapError, match="masks"):
-        bmo_d_norm_exact(f, cap_cells=64)
 
 
 def _tied_exact_inputs():

@@ -30,7 +30,7 @@ from dyadichardy import (
 from dyadichardy import cli, generators
 from oracles import (check_abs_bmo_oracle, check_lemma_a_oracle, oracle_data,
                      random_subfamily_oracle, rectangles_in_oracle, slice_family_oracle,
-                     split_family_oracle)
+                     spike_axis_halvings_loop, split_family_oracle)
 
 
 def random_function(grid, seed):
@@ -429,3 +429,22 @@ def test_theorem_demo_one_cutoff_per_bad_set(monkeypatch):
     assert len(built) == len(set(built))
     nonempty = [r for r in rep["records"] if r["E_n_measure"] > 0]
     assert len(built) < len(nonempty)
+
+
+@pytest.mark.parametrize("dims, depths", [
+    ((1,), (1,)), ((1,), (6,)), ((2,), (3,)), ((1, 1), (2, 5)), ((1, 2), (4, 2)),
+    ((2, 1, 1), (3, 1, 4)),
+])
+def test_spike_axis_halvings_match_the_round_loop(dims, depths):
+    # Round r halves each axis whose cap J-1 exceeds r; n past the total is refused.
+    grid = ProductGrid(dims, depths)
+    total = sum(d * (j - 1) for d, j in zip(dims, depths))
+    for n in range(total + 3):
+        try:
+            expected = spike_axis_halvings_loop(grid, n)
+        except GridError:
+            assert n > total
+            with pytest.raises(GridError, match="cannot shrink"):
+                generators._spike_axis_halvings(grid, n)
+        else:
+            assert generators._spike_axis_halvings(grid, n) == expected
