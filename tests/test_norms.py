@@ -367,9 +367,16 @@ def test_bmo_d_exact_cap():
     assert EXACT_CELL_CAP == 16
     assert bmo_d_norm_exact(random_function(ProductGrid((1,), (4,)), 0)).diagnostics[
         "masks_enumerated"] == 2 ** 16 - 1
-    for g in (ProductGrid((1, 1), (3, 2)), ProductGrid((1,), (5,))):
-        with pytest.raises(ResourceCapError, match="bmo_d_norm_cut"):
-            bmo_d_norm_exact(random_function(g, 0))
+    with pytest.raises(ResourceCapError, match="bmo_d_norm_cut"):
+        bmo_d_norm_exact(random_function(ProductGrid((1, 1), (3, 2)), 0))
+
+
+def test_bmo_d_exact_refuses_oversized_mask_table():
+    # 32 cells would need a table of 2^32 masks (tens of GiB); the cell cap
+    # refuses them before any mask is built.
+    f = generators.random_uniform(ProductGrid((1,), (5,)), seed=0)
+    with pytest.raises(ResourceCapError, match="32 cells exceed .* cap of 16"):
+        bmo_d_norm_exact(f)
 
 
 def test_bmo_d_search_matches_exact():
